@@ -49,7 +49,7 @@ def test_e1_gap_tester_table(benchmark):
         tester = CollisionGapTester.from_delta(N, delta)
         far = far_family(family, N, eps, rng=1)
         # Seed-like rng routes through TrialRunner.error_rate_batched, so
-        # the estimates are chunk-keyed and invariant to batch/workers.
+        # the estimates are chunk-keyed and invariant to batch.
         rate_u = estimate_rejection_probability(
             u, tester.s, TRIALS, rng=2, batch=BATCH
         )

@@ -941,7 +941,6 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
         trials: int,
         rng: SeedLike = None,
         faults: Optional[FaultPlan] = None,
-        workers: int = 1,
         fast_path: bool = True,
         engine_check: float = 0.0,
         d_hint: Optional[int] = None,
@@ -973,8 +972,6 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
         which replays one trial per plan — hardened control flow and
         all — without instantiating nodes.
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
         if not (rng is None or isinstance(rng, (int, np.integer))):
             raise ParameterError(
                 "estimate_error needs a seed-like rng (None or int), got "
@@ -992,7 +989,6 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
                 is_uniform,
                 trials,
                 base_seed=base_seed,
-                workers=workers,
                 engine_check=engine_check,
             )
         from repro.experiments.runner import TrialRunner
@@ -1006,14 +1002,14 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
             d_hint=d_hint,
         )
         est = TrialRunner(base_seed=base_seed).error_rate(
-            experiment, trials, "hardened", topology.k, workers=workers
+            experiment, trials, "hardened", topology.k
         )
         return est.rate
 
 
 @dataclass(frozen=True)
 class _HardenedTrialExperiment:
-    """Picklable scalar experiment: one hardened run under a fixed plan;
+    """Scalar experiment: one hardened run under a fixed plan;
     ``True`` = the verdict disagrees with ``is_uniform`` (``None`` errs)."""
 
     tester: HardenedCongestTester

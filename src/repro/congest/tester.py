@@ -455,17 +455,15 @@ class CongestUniformityTester:
         is_uniform: bool,
         trials: int,
         rng: SeedLike = None,
-        workers: int = 1,
         warm_start: bool = True,
         fast_path: bool = False,
         engine_check: float = 0.0,
     ) -> float:
         """Monte-Carlo error rate over full protocol executions.
 
-        Seed-like ``rng`` routes through the trial engine: chunk-keyed
-        streams, reproducible for any ``workers``, and ``workers > 1``
-        fans full protocol executions out over a process pool.  A
-        ``Generator`` parent falls back to the sequential legacy loop.
+        Seed-like ``rng`` routes through the trial engine (chunk-keyed,
+        reproducible streams).  A ``Generator`` parent falls back to the
+        sequential legacy loop.
 
         ``warm_start`` (default on) runs each trial from the topology's
         cached tree schedule — the error rate is bit-identical to cold
@@ -484,8 +482,9 @@ class CongestUniformityTester:
         measurement of record for rounds/bandwidth; the fast path exists
         for error-rate sweeps, where only the verdict matters.
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
+        from repro.experiments.runner import TrialRunner, check_trials
+
+        trials = check_trials(trials)
         if rng is None or isinstance(rng, (int, np.integer)):
             base_seed = 0 if rng is None else int(rng)
             if fast_path:
@@ -497,11 +496,8 @@ class CongestUniformityTester:
                     is_uniform,
                     trials,
                     base_seed=base_seed,
-                    workers=workers,
                     engine_check=engine_check,
                 )
-            from repro.experiments.runner import TrialRunner
-
             experiment = _CongestTrialExperiment(
                 tester=self,
                 topology=topology,
@@ -510,7 +506,7 @@ class CongestUniformityTester:
                 warm_start=warm_start,
             )
             est = TrialRunner(base_seed=base_seed).error_rate(
-                experiment, trials, "congest", topology.k, workers=workers
+                experiment, trials, "congest", topology.k
             )
             return est.rate
         if fast_path:
@@ -529,7 +525,7 @@ class CongestUniformityTester:
 
 @dataclass(frozen=True)
 class _CongestTrialExperiment:
-    """Picklable scalar experiment: one full protocol run, ``True`` = error."""
+    """Scalar experiment: one full protocol run, ``True`` = error."""
 
     tester: CongestUniformityTester
     topology: Topology

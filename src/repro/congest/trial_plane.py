@@ -269,7 +269,7 @@ class PackagingLayout:
 
 
 # ---------------------------------------------------------------------------
-# Batched verdict kernels (picklable, trial-engine compatible)
+# Batched verdict kernels (trial-engine compatible)
 # ---------------------------------------------------------------------------
 
 
@@ -428,7 +428,6 @@ class CongestTrialRunner:
         is_uniform: bool,
         trials: int,
         base_seed: int = 0,
-        workers: int = 1,
         engine_check: float = 0.0,
     ) -> np.ndarray:
         """Per-trial error flags via the chunk-keyed trial engine.
@@ -437,14 +436,9 @@ class CongestTrialRunner:
         (:meth:`CongestUniformityTester.estimate_error` with
         ``fast_path=False``) — same ``("congest", k)`` labels, same
         stream consumption.  ``engine_check`` ∈ [0, 1] re-runs that
-        fraction of the trials (at least one; a prefix of the same
-        stream, so no extra bookkeeping) through the full engine and
-        raises :class:`SimulationError` on any flag mismatch.
+        fraction of the trials through the full engine
+        (:meth:`~repro.experiments.runner.TrialRunner.run_audited`).
         """
-        if not 0.0 <= engine_check <= 1.0:
-            raise ParameterError(
-                f"engine_check must be in [0, 1], got {engine_check}"
-            )
         kernel = CongestVerdictKernel(
             distribution=distribution,
             members=self.layout.members,
@@ -452,38 +446,22 @@ class CongestTrialRunner:
             total_tokens=self.layout.total_tokens,
             is_uniform=is_uniform,
         )
-        flags = TrialRunner(base_seed=base_seed).run_flags_batched(
+        return TrialRunner(base_seed=base_seed).run_audited(
             kernel,
+            lambda: _CongestTrialExperiment(
+                tester=self.tester,
+                topology=self.topology,
+                distribution=distribution,
+                is_uniform=is_uniform,
+                warm_start=True,
+            ),
             trials,
             "congest",
             self.topology.k,
             batch=auto_batch(self.layout.total_tokens),
-            workers=workers,
+            engine_check=engine_check,
+            span="trial_plane.engine_check",
         )
-        if engine_check > 0.0:
-            checked = min(trials, max(1, int(round(engine_check * trials))))
-            with telemetry.span(
-                "trial_plane.engine_check", trials=checked
-            ) as sp:
-                experiment = _CongestTrialExperiment(
-                    tester=self.tester,
-                    topology=self.topology,
-                    distribution=distribution,
-                    is_uniform=is_uniform,
-                    warm_start=True,
-                )
-                engine_flags = TrialRunner(base_seed=base_seed).run_flags(
-                    experiment, checked, "congest", self.topology.k
-                )
-                sp.count("checked", checked)
-                if not np.array_equal(engine_flags, flags[:checked]):
-                    bad = np.flatnonzero(engine_flags != flags[:checked])
-                    raise SimulationError(
-                        f"trial-plane verdicts diverge from the engine on "
-                        f"trials {bad[:8].tolist()} of {checked} checked — "
-                        f"bit-identity contract broken"
-                    )
-        return flags
 
     def error_rate(
         self,
@@ -491,7 +469,6 @@ class CongestTrialRunner:
         is_uniform: bool,
         trials: int,
         base_seed: int = 0,
-        workers: int = 1,
         engine_check: float = 0.0,
     ) -> float:
         """Monte-Carlo error rate over :meth:`run_flags`."""
@@ -500,7 +477,6 @@ class CongestTrialRunner:
             is_uniform,
             trials,
             base_seed=base_seed,
-            workers=workers,
             engine_check=engine_check,
         )
         return float(flags.sum()) / trials
@@ -693,17 +669,12 @@ class HardenedTrialRunner:
         is_uniform: bool,
         trials: int,
         base_seed: int = 0,
-        workers: int = 1,
         engine_check: float = 0.0,
     ) -> np.ndarray:
         """Per-trial error flags, bit-identical to the engine route
         (labels ``("hardened", k)``); see
         :meth:`CongestTrialRunner.run_flags` for the ``engine_check``
         contract."""
-        if not 0.0 <= engine_check <= 1.0:
-            raise ParameterError(
-                f"engine_check must be in [0, 1], got {engine_check}"
-            )
         kernel = HardenedVerdictKernel(
             distribution=distribution,
             members=self.layout.members,
@@ -712,39 +683,24 @@ class HardenedTrialRunner:
             is_uniform=is_uniform,
             root_alive=self.layout.root_alive,
         )
-        flags = TrialRunner(base_seed=base_seed).run_flags_batched(
+        return TrialRunner(base_seed=base_seed).run_audited(
             kernel,
+            lambda: _HardenedTrialExperiment(
+                tester=self.tester,
+                topology=self.topology,
+                distribution=distribution,
+                is_uniform=is_uniform,
+                faults=self.faults,
+                d_hint=self.d_hint,
+            ),
             trials,
             "hardened",
             self.topology.k,
             batch=auto_batch(self.layout.total_tokens),
-            workers=workers,
+            engine_check=engine_check,
+            span="trial_plane.engine_check",
+            hardened=True,
         )
-        if engine_check > 0.0:
-            checked = min(trials, max(1, int(round(engine_check * trials))))
-            with telemetry.span(
-                "trial_plane.engine_check", trials=checked, hardened=True
-            ) as sp:
-                experiment = _HardenedTrialExperiment(
-                    tester=self.tester,
-                    topology=self.topology,
-                    distribution=distribution,
-                    is_uniform=is_uniform,
-                    faults=self.faults,
-                    d_hint=self.d_hint,
-                )
-                engine_flags = TrialRunner(base_seed=base_seed).run_flags(
-                    experiment, checked, "hardened", self.topology.k
-                )
-                sp.count("checked", checked)
-                if not np.array_equal(engine_flags, flags[:checked]):
-                    bad = np.flatnonzero(engine_flags != flags[:checked])
-                    raise SimulationError(
-                        f"pack-then-replay verdicts diverge from the engine "
-                        f"on trials {bad[:8].tolist()} of {checked} checked "
-                        f"— bit-identity contract broken"
-                    )
-        return flags
 
     def error_rate(
         self,
@@ -752,7 +708,6 @@ class HardenedTrialRunner:
         is_uniform: bool,
         trials: int,
         base_seed: int = 0,
-        workers: int = 1,
         engine_check: float = 0.0,
     ) -> float:
         """Monte-Carlo error rate over :meth:`run_flags`."""
@@ -761,7 +716,6 @@ class HardenedTrialRunner:
             is_uniform,
             trials,
             base_seed=base_seed,
-            workers=workers,
             engine_check=engine_check,
         )
         return float(flags.sum()) / trials

@@ -6,10 +6,11 @@ and the examples:
 - :mod:`repro.experiments.stats` — Monte-Carlo error estimation with
   Wilson confidence intervals, and the empirical sample-complexity search
   used to sandwich measured costs between the paper's bounds.
-- :mod:`repro.experiments.runner` — the batched, parallel Monte-Carlo
-  trial engine: deterministic per-configuration chunk streams keyed by
-  (seed, labels, chunk), with serial, vectorised and process-pool paths
-  that produce bit-identical results.
+- :mod:`repro.experiments.runner` — the batched Monte-Carlo trial
+  engine: deterministic per-configuration chunk streams keyed by
+  (seed, labels, chunk), with scalar and vectorised paths that produce
+  bit-identical results, and the one audited runner
+  (``TrialRunner.run_audited``) behind every vectorised trial plane.
 - :mod:`repro.experiments.tables` — plain-ASCII table rendering for
   benchmark output (the repo's stand-in for the paper's tables).
 - :mod:`repro.experiments.sweeps` — parameter grids and log-log slope

@@ -1,9 +1,11 @@
-"""The batched, parallel Monte-Carlo trial engine.
+"""The batched Monte-Carlo trial engine.
 
 Every benchmark measurement reduces to "run this boolean experiment T
 times and count failures".  :class:`TrialRunner` executes those trials
-serially, in vectorised batches, or across a process pool — all three
-paths producing **bit-identical** results for a fixed ``base_seed``.
+either as a scalar per-trial loop or in vectorised batches — both paths
+producing **bit-identical** results for a fixed ``base_seed`` — and
+audits every vectorised trial plane against its scalar reference in one
+place (:meth:`TrialRunner.run_audited`).
 
 Reproducibility model
 ---------------------
@@ -11,17 +13,13 @@ Trials are partitioned into fixed *chunks* of :data:`TRIAL_CHUNK` trials.
 Chunk ``c`` of a configuration draws all of its randomness from one
 generator keyed by ``(base_seed, *labels, c)`` via :func:`repro.rng.derive`;
 trials inside a chunk consume that stream sequentially.  Because the chunk
-quantum is an engine constant — *not* the user-facing ``batch`` or
-``workers`` knobs — the stream each trial sees is independent of how the
-work is batched or scheduled:
+quantum is an engine constant — *not* the user-facing ``batch`` knob —
+the stream each trial sees is independent of how the work is batched:
 
 - ``batch`` only caps how many trials a vectorised experiment handles per
   call, and calls never straddle a chunk boundary.  numpy ``Generator``
   streams are consumed strictly sequentially, so splitting a chunk into
   smaller calls yields the same draws (a property the test suite pins).
-- ``workers`` only decides *where* a chunk executes; every worker re-derives
-  its chunk generator from ``(base_seed, labels, chunk_index)``, so results
-  are invariant to worker count and scheduling order.
 - any single chunk (and hence any sweep point) can be re-run in isolation
   and reproduce exactly, independent of sweep order.
 
@@ -31,32 +29,47 @@ that consumes the generator identically (e.g. one network trial vs. the
 matrix kernel over many — see :mod:`repro.zeroround.network`) produces
 bit-identical failure flags through either API.
 
-For multi-process execution the experiment callable must be picklable:
-use a module-level function or a frozen dataclass with ``__call__`` (the
-kernels in :mod:`repro.zeroround.network` are), not a local closure.
+Audited fast paths
+------------------
+The vectorised trial planes (CONGEST, hardened, LOCAL, SMP) replay a
+protocol's verdicts from a fixed layout.  :meth:`TrialRunner.run_audited`
+runs such a kernel and, for ``engine_check`` ∈ (0, 1], re-runs the first
+``max(1, round(engine_check · trials))`` trials — a prefix of the same
+chunk-keyed streams — through the plane's scalar reference, raising
+:class:`~repro.exceptions.SimulationError` on any flag mismatch.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Any, Callable, List, Union
 
 import numpy as np
 
 from repro import telemetry
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, SimulationError
 from repro.experiments.stats import ErrorEstimate, estimate
 from repro.rng import derive
 
 #: Trials per randomness chunk.  This is the engine's reproducibility
 #: quantum: changing it re-keys every stream, so it is a constant, not a
-#: parameter.  ``batch``/``workers`` never affect results; this would.
+#: parameter.  ``batch`` never affects results; this would.
 TRIAL_CHUNK = 1024
 
 Label = Union[str, int]
 ScalarExperiment = Callable[[np.random.Generator], bool]
 BatchedExperiment = Callable[[np.random.Generator, int], np.ndarray]
+
+
+def check_trials(trials) -> int:
+    """Validate a Monte-Carlo trial count: a positive integer, returned as
+    a plain ``int``.  A float, bool or non-positive value raises
+    :class:`~repro.exceptions.ParameterError`."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ParameterError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    return int(trials)
 
 
 def _chunk_lengths(trials: int) -> List[int]:
@@ -65,31 +78,23 @@ def _chunk_lengths(trials: int) -> List[int]:
     return [TRIAL_CHUNK] * full + ([rest] if rest else [])
 
 
-def _run_scalar_chunk(
-    experiment: ScalarExperiment,
-    base_seed: int,
-    labels: Tuple[Label, ...],
-    chunk_index: int,
-    length: int,
+def _scalar_chunk(
+    experiment: ScalarExperiment, rng: np.random.Generator, length: int
 ) -> np.ndarray:
-    """Failure flags for one chunk, scalar experiment, shared chunk stream."""
-    rng = derive(base_seed, *labels, chunk_index)
+    """Failure flags for one chunk, one scalar call per trial."""
     flags = np.empty(length, dtype=bool)
     for t in range(length):
         flags[t] = bool(experiment(rng))
     return flags
 
 
-def _run_batched_chunk(
+def _batched_chunk(
     experiment: BatchedExperiment,
-    base_seed: int,
-    labels: Tuple[Label, ...],
-    chunk_index: int,
+    rng: np.random.Generator,
     length: int,
     batch: int,
 ) -> np.ndarray:
     """Failure flags for one chunk, vectorised experiment, batch-capped calls."""
-    rng = derive(base_seed, *labels, chunk_index)
     flags = np.empty(length, dtype=bool)
     pos = 0
     while pos < length:
@@ -102,46 +107,6 @@ def _run_batched_chunk(
         flags[pos : pos + m] = out
         pos += m
     return flags
-
-
-def _scalar_task(args) -> Tuple[int, np.ndarray]:
-    experiment, base_seed, labels, chunk_index, length = args
-    return chunk_index, _run_scalar_chunk(experiment, base_seed, labels, chunk_index, length)
-
-
-def _batched_task(args) -> Tuple[int, np.ndarray]:
-    experiment, base_seed, labels, chunk_index, length, batch = args
-    return chunk_index, _run_batched_chunk(
-        experiment, base_seed, labels, chunk_index, length, batch
-    )
-
-
-def _gather(
-    task: Callable[[tuple], Tuple[int, np.ndarray]],
-    arglist: Sequence[tuple],
-    workers: int,
-) -> np.ndarray:
-    """Run chunk tasks in-process or on a pool; reassemble in chunk order."""
-    if workers <= 1 or len(arglist) <= 1:
-        if telemetry.enabled():
-            # One span per chunk (args[3] = chunk index, args[4] = length).
-            # Pool chunks are not traced — workers carry no tracer — but
-            # the caller's enclosing span still accounts their wall time.
-            parts = []
-            for args in arglist:
-                with telemetry.span(
-                    "trials.chunk", chunk=args[3], trials=args[4]
-                ) as sp:
-                    part = task(args)
-                    sp.count("failures", int(part[1].sum()))
-                parts.append(part)
-        else:
-            parts = [task(args) for args in arglist]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(arglist))) as pool:
-            parts = list(pool.map(task, arglist))
-    parts.sort(key=lambda item: item[0])
-    return np.concatenate([flags for _, flags in parts])
 
 
 @dataclass(frozen=True)
@@ -158,39 +123,51 @@ class TrialRunner:
 
     base_seed: int
 
+    def _run(
+        self,
+        mode: str,
+        run_chunk: Callable[[np.random.Generator, int], np.ndarray],
+        trials: int,
+        labels: tuple,
+        **attrs: Any,
+    ) -> np.ndarray:
+        """Run each chunk on its keyed stream, under a ``trials.chunk`` span."""
+        trials = check_trials(trials)
+        with telemetry.span(
+            "trials.run", mode=mode, labels=list(labels), **attrs
+        ) as sp:
+            parts = []
+            for c, length in enumerate(_chunk_lengths(trials)):
+                rng = derive(self.base_seed, *labels, c)
+                if sp is telemetry.NULL_SPAN:
+                    # Untraced: no per-chunk span or failure count, whose
+                    # cost adds up over the ~1000 chunks of a 1M-trial run.
+                    parts.append(run_chunk(rng, length))
+                    continue
+                with telemetry.span("trials.chunk", chunk=c, trials=length) as cs:
+                    parts.append(run_chunk(rng, length))
+                    cs.count("failures", int(parts[-1].sum()))
+            flags = np.concatenate(parts)
+            sp.count("trials", trials)
+            sp.count("failures", int(flags.sum()))
+        return flags
+
     # -- flag-level API (bit-for-bit comparable) -----------------------
 
     def run_flags(
-        self,
-        experiment: ScalarExperiment,
-        trials: int,
-        *labels: Label,
-        workers: int = 1,
+        self, experiment: ScalarExperiment, trials: int, *labels: Label
     ) -> np.ndarray:
         """Per-trial failure flags for a scalar experiment.
 
         Trial ``t`` draws from the stream of its chunk ``t // TRIAL_CHUNK``,
-        keyed by ``(base_seed, *labels, chunk)``.  ``workers > 1`` fans the
-        chunks out over a process pool with identical results.
+        keyed by ``(base_seed, *labels, chunk)``.
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
-        arglist = [
-            (experiment, self.base_seed, labels, c, length)
-            for c, length in enumerate(_chunk_lengths(trials))
-        ]
-        with telemetry.span(
-            "trials.run",
-            mode="scalar",
-            labels=list(labels),
-            workers=workers,
-        ) as sp:
-            flags = _gather(_scalar_task, arglist, workers)
-            sp.count("trials", trials)
-            sp.count("failures", int(flags.sum()))
-        return flags
+        return self._run(
+            "scalar",
+            lambda rng, length: _scalar_chunk(experiment, rng, length),
+            trials,
+            labels,
+        )
 
     def run_flags_batched(
         self,
@@ -198,46 +175,68 @@ class TrialRunner:
         trials: int,
         *labels: Label,
         batch: int = TRIAL_CHUNK,
-        workers: int = 1,
     ) -> np.ndarray:
         """Per-trial failure flags for a vectorised ``(rng, count)`` experiment.
 
         Bit-identical to :meth:`run_flags` of the matching scalar experiment,
-        and invariant to ``batch`` and ``workers`` (see module docstring).
+        and invariant to ``batch`` (see module docstring).
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
         if batch < 1:
             raise ParameterError(f"batch must be >= 1, got {batch}")
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
-        arglist = [
-            (experiment, self.base_seed, labels, c, length, batch)
-            for c, length in enumerate(_chunk_lengths(trials))
-        ]
-        with telemetry.span(
-            "trials.run",
-            mode="batched",
-            labels=list(labels),
+        return self._run(
+            "batched",
+            lambda rng, length: _batched_chunk(experiment, rng, length, batch),
+            trials,
+            labels,
             batch=batch,
-            workers=workers,
-        ) as sp:
-            flags = _gather(_batched_task, arglist, workers)
-            sp.count("trials", trials)
-            sp.count("failures", int(flags.sum()))
+        )
+
+    def run_audited(
+        self,
+        kernel: BatchedExperiment,
+        reference: Callable[[], ScalarExperiment],
+        trials: int,
+        *labels: Label,
+        batch: int,
+        engine_check: float,
+        span: str,
+        **attrs: Any,
+    ) -> np.ndarray:
+        """Fast-path flags from *kernel*, audited against a scalar reference.
+
+        ``engine_check`` ∈ [0, 1] re-runs that fraction of the trials (at
+        least one; a prefix of the same streams, so no extra bookkeeping)
+        through the experiment ``reference()`` returns, under a span named
+        *span* (with ``attrs``) that counts the ``checked`` trials, and
+        raises :class:`SimulationError` on any flag mismatch.  The
+        reference is built only when the check runs.
+        """
+        if not 0.0 <= engine_check <= 1.0:
+            raise ParameterError(
+                f"engine_check must be in [0, 1], got {engine_check}"
+            )
+        flags = self.run_flags_batched(kernel, trials, *labels, batch=batch)
+        if engine_check > 0.0:
+            checked = min(trials, max(1, int(round(engine_check * trials))))
+            with telemetry.span(span, trials=checked, **attrs) as sp:
+                expected = self.run_flags(reference(), checked, *labels)
+                sp.count("checked", checked)
+                bad = np.flatnonzero(expected != flags[:checked])
+                if bad.size:
+                    raise SimulationError(
+                        f"{span}: fast-path verdicts diverge from the "
+                        f"reference on trials {bad[:8].tolist()} of "
+                        f"{checked} checked — bit-identity contract broken"
+                    )
         return flags
 
     # -- rate-level API ------------------------------------------------
 
     def error_rate(
-        self,
-        experiment: ScalarExperiment,
-        trials: int,
-        *labels: Label,
-        workers: int = 1,
+        self, experiment: ScalarExperiment, trials: int, *labels: Label
     ) -> ErrorEstimate:
         """Fraction of trials where *experiment* returns ``True`` (= error)."""
-        flags = self.run_flags(experiment, trials, *labels, workers=workers)
+        flags = self.run_flags(experiment, trials, *labels)
         return estimate(int(flags.sum()), trials)
 
     def error_rate_batched(
@@ -246,29 +245,21 @@ class TrialRunner:
         trials: int,
         *labels: Label,
         batch: int = TRIAL_CHUNK,
-        workers: int = 1,
     ) -> ErrorEstimate:
         """Error rate via the vectorised experiment API.
 
         1–2 orders of magnitude faster than :meth:`error_rate` for kernels
         that sample whole trial batches in one numpy call.
         """
-        flags = self.run_flags_batched(
-            experiment, trials, *labels, batch=batch, workers=workers
-        )
+        flags = self.run_flags_batched(experiment, trials, *labels, batch=batch)
         return estimate(int(flags.sum()), trials)
 
 
 def estimate_probability(
-    experiment: ScalarExperiment,
-    trials: int,
-    seed: int = 0,
-    workers: int = 1,
+    experiment: ScalarExperiment, trials: int, seed: int = 0
 ) -> ErrorEstimate:
     """One-off convenience wrapper around :class:`TrialRunner`."""
-    return TrialRunner(base_seed=seed).error_rate(
-        experiment, trials, "adhoc", workers=workers
-    )
+    return TrialRunner(base_seed=seed).error_rate(experiment, trials, "adhoc")
 
 
 def estimate_probability_batched(
@@ -276,9 +267,8 @@ def estimate_probability_batched(
     trials: int,
     seed: int = 0,
     batch: int = TRIAL_CHUNK,
-    workers: int = 1,
 ) -> ErrorEstimate:
     """One-off convenience wrapper around :meth:`TrialRunner.error_rate_batched`."""
     return TrialRunner(base_seed=seed).error_rate_batched(
-        experiment, trials, "adhoc", batch=batch, workers=workers
+        experiment, trials, "adhoc", batch=batch
     )

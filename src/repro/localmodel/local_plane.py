@@ -544,7 +544,6 @@ class LocalTrialRunner:
         distribution: DiscreteDistribution,
         is_uniform: bool,
         trials: int,
-        workers: int = 1,
         engine_check: float = 0.0,
     ) -> np.ndarray:
         """Per-trial error flags via the chunk-keyed trial engine.
@@ -554,15 +553,11 @@ class LocalTrialRunner:
         with ``fast_path=False`` and the same seed-like rng) — same
         ``("local", k)`` labels, same stream consumption.
         ``engine_check`` ∈ [0, 1] re-runs that fraction of the trials
-        (at least one; a prefix of the same stream) through the scalar
-        ``test_with_plan`` decision *and* cross-checks the layout
-        against a real engine MIS run, raising
-        :class:`SimulationError` on any divergence.
+        through the scalar ``test_with_plan`` decision
+        (:meth:`~repro.experiments.runner.TrialRunner.run_audited`),
+        after cross-checking the layout against a real engine MIS run;
+        either divergence raises :class:`SimulationError`.
         """
-        if not 0.0 <= engine_check <= 1.0:
-            raise ParameterError(
-                f"engine_check must be in [0, 1], got {engine_check}"
-            )
         kernel = LocalVerdictKernel(
             distribution=distribution,
             members=self.members,
@@ -570,61 +565,45 @@ class LocalTrialRunner:
             total_samples=self.layout.k,
             is_uniform=is_uniform,
         )
-        flags = TrialRunner(base_seed=self.base_seed).run_flags_batched(
+        return TrialRunner(base_seed=self.base_seed).run_audited(
             kernel,
+            lambda: self._reference(distribution, is_uniform),
             trials,
             "local",
             self.topology.k,
             batch=auto_batch(self.layout.k),
-            workers=workers,
+            engine_check=engine_check,
+            span="local_plane.engine_check",
         )
-        if engine_check > 0.0:
-            checked = min(trials, max(1, int(round(engine_check * trials))))
-            with telemetry.span(
-                "local_plane.engine_check", trials=checked
-            ) as sp:
-                check = self.layout.verify_layout(self.topology)
-                if not check.equivalent:
-                    raise SimulationError(
-                        f"local-plane layout diverges from the engine MIS "
-                        f"at nodes {check.mismatched_nodes[:8]} — "
-                        f"bit-identity contract broken"
-                    )
-                from repro.localmodel.tester import _LocalTrialExperiment
 
-                experiment = _LocalTrialExperiment(
-                    tester=self.tester,
-                    plan=self.plan,
-                    distribution=distribution,
-                    is_uniform=is_uniform,
-                )
-                scalar_flags = TrialRunner(base_seed=self.base_seed).run_flags(
-                    experiment, checked, "local", self.topology.k
-                )
-                sp.count("checked", checked)
-                if not np.array_equal(scalar_flags, flags[:checked]):
-                    bad = np.flatnonzero(scalar_flags != flags[:checked])
-                    raise SimulationError(
-                        f"local-plane verdicts diverge from the scalar "
-                        f"tester on trials {bad[:8].tolist()} of {checked} "
-                        f"checked — bit-identity contract broken"
-                    )
-        return flags
+    def _reference(self, distribution: DiscreteDistribution, is_uniform: bool):
+        """The scalar ``test_with_plan`` experiment over this runner's plan,
+        once the layout has been checked against a real engine MIS run."""
+        check = self.layout.verify_layout(self.topology)
+        if not check.equivalent:
+            raise SimulationError(
+                f"local-plane layout diverges from the engine MIS "
+                f"at nodes {check.mismatched_nodes[:8]} — "
+                f"bit-identity contract broken"
+            )
+        from repro.localmodel.tester import _LocalTrialExperiment
+
+        return _LocalTrialExperiment(
+            tester=self.tester,
+            plan=self.plan,
+            distribution=distribution,
+            is_uniform=is_uniform,
+        )
 
     def error_rate(
         self,
         distribution: DiscreteDistribution,
         is_uniform: bool,
         trials: int,
-        workers: int = 1,
         engine_check: float = 0.0,
     ) -> float:
         """Monte-Carlo error rate over :meth:`run_flags`."""
         flags = self.run_flags(
-            distribution,
-            is_uniform,
-            trials,
-            workers=workers,
-            engine_check=engine_check,
+            distribution, is_uniform, trials, engine_check=engine_check
         )
         return float(flags.sum()) / trials

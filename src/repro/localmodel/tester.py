@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.params import AndRuleParameters, and_rule_parameters
 from repro.distributions.base import DiscreteDistribution
 from repro.exceptions import InfeasibleParametersError, ParameterError
-from repro.experiments.runner import TrialRunner
+from repro.experiments.runner import TrialRunner, check_trials
 from repro.localmodel.gather import GatherResult, assign_catchments
 from repro.localmodel.mis import luby_mis, verify_mis
 from repro.rng import SeedLike, ensure_rng
@@ -273,7 +273,6 @@ class LocalUniformityTester:
         r: int,
         trials: int,
         rng: SeedLike = None,
-        workers: int = 1,
         fast_path: bool = False,
         engine_check: float = 0.0,
     ) -> float:
@@ -293,8 +292,7 @@ class LocalUniformityTester:
         engine MIS, raising ``SimulationError`` on divergence).  A
         shared ``Generator`` keeps the legacy sequential loop.
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
+        trials = check_trials(trials)
         if rng is None or isinstance(rng, (int, np.integer)):
             from repro.localmodel.local_plane import (
                 LocalTrialRunner,
@@ -311,7 +309,6 @@ class LocalUniformityTester:
                     distribution,
                     is_uniform,
                     trials,
-                    workers=workers,
                     engine_check=engine_check,
                 )
             plan = self.plan(
@@ -326,7 +323,7 @@ class LocalUniformityTester:
                 is_uniform=is_uniform,
             )
             return TrialRunner(base_seed=base_seed).error_rate(
-                experiment, trials, "local", topology.k, workers=workers
+                experiment, trials, "local", topology.k
             ).rate
         if fast_path:
             raise ParameterError(
@@ -345,7 +342,7 @@ class LocalUniformityTester:
 
 @dataclass(frozen=True)
 class _LocalTrialExperiment:
-    """Picklable scalar trial: one fresh-sample decision over a fixed plan."""
+    """Scalar trial: one fresh-sample decision over a fixed plan."""
 
     tester: LocalUniformityTester
     plan: LocalPlan

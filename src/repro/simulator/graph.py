@@ -38,9 +38,6 @@ class TreeSchedule:
     the FLOOD/CHILD/COUNT phases; ``verify_warm_start`` in
     :mod:`repro.congest.token_packaging` cross-checks the equivalence
     against the real protocol.
-
-    Instances are cheap to pickle (they ride along with the
-    :class:`Topology` into trial-runner worker processes).
     """
 
     __slots__ = ("root", "dist", "parent", "children", "height", "postorder",

@@ -1,9 +1,9 @@
-"""Shared parameter checks for the SMP estimation APIs.
+"""Shared parameter checks for the SMP protocol builders.
 
-Every Monte-Carlo entry point in :mod:`repro.smp` validates its ``trials``
-count through :func:`check_trials` so a float, bool or non-positive value
-raises :class:`~repro.exceptions.ParameterError` up front instead of
-producing a silent empty loop or a ZeroDivision artefact.
+Trial counts are validated by :func:`repro.experiments.runner.check_trials`;
+this module keeps the input-length check, so a float, bool or
+non-positive ``n_bits`` raises :class:`~repro.exceptions.ParameterError`
+up front.
 """
 
 from __future__ import annotations
@@ -11,16 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ParameterError
-
-
-def check_trials(trials) -> int:
-    """Validate a Monte-Carlo trial count: a positive integer, returned as
-    a plain ``int``."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise ParameterError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    return int(trials)
 
 
 def check_message_bits(n_bits) -> int:

@@ -33,8 +33,8 @@ import numpy as np
 from repro.core.gap import CentralizedTester
 from repro.distributions.base import DiscreteDistribution
 from repro.exceptions import CodingError, ParameterError
+from repro.experiments.runner import check_trials
 from repro.rng import SeedLike, ensure_rng
-from repro.smp._validation import check_trials
 from repro.smp.codes import ConcatenatedCode
 
 
@@ -178,7 +178,6 @@ class TesterBasedEqualityProtocol:
         y: np.ndarray,
         trials: int,
         rng: SeedLike = None,
-        workers: int = 1,
         fast_path: bool = True,
         engine_check: float = 0.0,
     ) -> float:
@@ -204,10 +203,8 @@ class TesterBasedEqualityProtocol:
                 self, x, y, base_seed=0 if rng is None else int(rng)
             )
             if fast_path:
-                return runner.error_rate(
-                    trials, workers=workers, engine_check=engine_check
-                )
-            return runner.scalar_error_rate(trials, workers=workers)
+                return runner.error_rate(trials, engine_check=engine_check)
+            return runner.scalar_error_rate(trials)
         if fast_path:
             raise ParameterError(
                 "fast_path needs a seed-like rng (None or int): the trial "

@@ -38,8 +38,8 @@ import numpy as np
 from repro.core.baselines import CollisionCountTester
 from repro.distributions.base import DiscreteDistribution
 from repro.exceptions import ParameterError
+from repro.experiments.runner import check_trials
 from repro.rng import SeedLike, ensure_rng
-from repro.smp._validation import check_trials
 
 #: Conservative constant in the contraction law eps' = KAPPA * eps * sqrt(B/n).
 #: Validated by tests on the certified far families (the measured mean

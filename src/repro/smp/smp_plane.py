@@ -45,7 +45,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.gap import decide_many
-from repro.exceptions import ParameterError, SimulationError
 from repro.experiments.runner import TrialRunner
 from repro.rng import ensure_rng
 from repro.smp.equality import EqualityProtocol
@@ -285,61 +284,37 @@ class EqualityTrialRunner:
 
     # -- trial-engine APIs ---------------------------------------------
 
-    def run_flags(
-        self, trials: int, workers: int = 1, engine_check: float = 0.0
-    ) -> np.ndarray:
+    def run_flags(self, trials: int, engine_check: float = 0.0) -> np.ndarray:
         """Per-trial error flags via the chunk-keyed trial engine.
 
         Bit-identical to :meth:`scalar_flags` — same labels, same stream
         consumption.  ``engine_check`` ∈ [0, 1] re-runs that fraction of
-        the trials (at least one; a prefix of the same stream) through
-        the full scalar ``run()``, raising :class:`SimulationError` on
-        any divergence.
+        the trials through the full scalar ``run()``
+        (:meth:`~repro.experiments.runner.TrialRunner.run_audited`).
         """
-        if not 0.0 <= engine_check <= 1.0:
-            raise ParameterError(
-                f"engine_check must be in [0, 1], got {engine_check}"
-            )
-        flags = TrialRunner(base_seed=self.base_seed).run_flags_batched(
+        return TrialRunner(base_seed=self.base_seed).run_audited(
             self.kernel,
+            lambda: self.scalar,
             trials,
             *self.labels,
             batch=auto_batch(self.elements_per_trial),
-            workers=workers,
+            engine_check=engine_check,
+            span="smp_plane.engine_check",
         )
-        if engine_check > 0.0:
-            checked = min(trials, max(1, int(round(engine_check * trials))))
-            with telemetry.span("smp_plane.engine_check", trials=checked) as sp:
-                scalar_flags = TrialRunner(base_seed=self.base_seed).run_flags(
-                    self.scalar, checked, *self.labels
-                )
-                sp.count("checked", checked)
-                if not np.array_equal(scalar_flags, flags[:checked]):
-                    bad = np.flatnonzero(scalar_flags != flags[:checked])
-                    raise SimulationError(
-                        f"smp-plane verdicts diverge from the scalar "
-                        f"protocol on trials {bad[:8].tolist()} of {checked} "
-                        f"checked — bit-identity contract broken"
-                    )
-        return flags
 
-    def scalar_flags(self, trials: int, workers: int = 1) -> np.ndarray:
+    def scalar_flags(self, trials: int) -> np.ndarray:
         """The scalar route on the same chunk-keyed streams (full
         ``run()`` per trial, re-encoding and all)."""
         return TrialRunner(base_seed=self.base_seed).run_flags(
-            self.scalar, trials, *self.labels, workers=workers
+            self.scalar, trials, *self.labels
         )
 
-    def error_rate(
-        self, trials: int, workers: int = 1, engine_check: float = 0.0
-    ) -> float:
+    def error_rate(self, trials: int, engine_check: float = 0.0) -> float:
         """Monte-Carlo error rate over :meth:`run_flags`."""
-        flags = self.run_flags(
-            trials, workers=workers, engine_check=engine_check
-        )
+        flags = self.run_flags(trials, engine_check=engine_check)
         return float(flags.sum()) / trials
 
-    def scalar_error_rate(self, trials: int, workers: int = 1) -> float:
+    def scalar_error_rate(self, trials: int) -> float:
         """Monte-Carlo error rate over :meth:`scalar_flags`."""
-        flags = self.scalar_flags(trials, workers=workers)
+        flags = self.scalar_flags(trials)
         return float(flags.sum()) / trials

@@ -119,29 +119,27 @@ class AndRuleNetworkTester:
         trials: int,
         rng: SeedLike = None,
         batch: Optional[int] = None,
-        workers: int = 1,
     ) -> float:
         """Monte-Carlo error rate over *trials* network executions.
 
         ``is_uniform`` selects which verdict counts as an error (rejecting
         uniform vs accepting a far distribution).  Seed-like ``rng`` routes
-        through the batched trial engine (reproducible for any ``batch`` /
-        ``workers``); a ``Generator`` parent falls back to the sequential
-        single-stream path.
+        through the batched trial engine (reproducible for any ``batch``); a
+        ``Generator`` parent falls back to the sequential single-stream
+        path.
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
+        from repro.experiments.runner import TrialRunner, check_trials
+
+        trials = check_trials(trials)
         p = self.params
         if batch is None:
             batch = auto_batch(p.k * p.m * p.s_per_repetition)
         if rng is None or isinstance(rng, (int, np.integer)):
-            from repro.experiments.runner import TrialRunner
-
             kernel = AndNetworkErrorKernel(
                 distribution, p.k, p.m, p.s_per_repetition, is_uniform
             )
             est = TrialRunner(base_seed=0 if rng is None else int(rng)).error_rate_batched(
-                kernel, trials, "and_rule", p.k, batch=batch, workers=workers
+                kernel, trials, "and_rule", p.k, batch=batch
             )
             return est.rate
         gen = ensure_rng(rng)

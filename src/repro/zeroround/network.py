@@ -20,8 +20,7 @@ Three ways to run a 0-round network:
 
 The frozen-dataclass experiment wrappers at the bottom adapt the kernels to
 the ``(rng, count) -> bool[count]`` batched-experiment interface of
-:class:`repro.experiments.runner.TrialRunner`; being module-level and
-picklable, they also work on the engine's multi-process path.
+:class:`repro.experiments.runner.TrialRunner`.
 """
 
 from __future__ import annotations
@@ -389,7 +388,7 @@ def auto_batch(elements_per_trial: int, cap: int = MATRIX_ELEMENT_CAP) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Picklable batched-experiment adapters for the trial engine
+# Batched-experiment adapters for the trial engine
 # ---------------------------------------------------------------------------
 
 
@@ -466,25 +465,23 @@ def estimate_rejection_probability(
     trials: int,
     rng: SeedLike = None,
     batch: int = 4096,
-    workers: int = 1,
 ) -> float:
     """Monte-Carlo estimate of ``Pr[A_δ rejects]`` on *distribution*.
 
     Runs the single-collision tester *trials* times in vectorised batches.
     Seed-like ``rng`` (``None`` or ``int``) routes through the trial engine
-    — chunk-keyed streams, reproducible for any ``batch``/``workers`` — and
-    supports multi-process execution.  A ``Generator`` parent falls back to
-    sequential single-stream batching (legacy behaviour).  Used by the E1
+    — chunk-keyed streams, reproducible for any ``batch``.  A ``Generator``
+    parent falls back to sequential single-stream batching (legacy
+    behaviour).  Used by the E1
     benchmark and the empirical sample-complexity search.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if rng is None or isinstance(rng, (int, np.integer)):
-        from repro.experiments.runner import TrialRunner
+    from repro.experiments.runner import TrialRunner, check_trials
 
+    trials = check_trials(trials)
+    if rng is None or isinstance(rng, (int, np.integer)):
         kernel = CollisionTrialKernel(distribution, s)
         est = TrialRunner(base_seed=0 if rng is None else int(rng)).error_rate_batched(
-            kernel, trials, "rejection", s, batch=batch, workers=workers
+            kernel, trials, "rejection", s, batch=batch
         )
         return est.rate
     gen = ensure_rng(rng)

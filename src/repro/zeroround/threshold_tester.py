@@ -112,27 +112,25 @@ class ThresholdNetworkTester:
         trials: int,
         rng: SeedLike = None,
         batch: Optional[int] = None,
-        workers: int = 1,
     ) -> float:
         """Monte-Carlo error rate over *trials* network executions.
 
         Seed-like ``rng`` routes through the batched trial engine
-        (reproducible for any ``batch``/``workers``); a ``Generator``
+        (reproducible for any ``batch``); a ``Generator``
         parent falls back to the sequential single-stream path.
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
+        from repro.experiments.runner import TrialRunner, check_trials
+
+        trials = check_trials(trials)
         p = self.params
         if batch is None:
             batch = auto_batch(p.k * p.s)
         if rng is None or isinstance(rng, (int, np.integer)):
-            from repro.experiments.runner import TrialRunner
-
             kernel = ThresholdNetworkErrorKernel(
                 distribution, p.k, p.s, p.threshold, is_uniform
             )
             est = TrialRunner(base_seed=0 if rng is None else int(rng)).error_rate_batched(
-                kernel, trials, "threshold_rule", p.k, batch=batch, workers=workers
+                kernel, trials, "threshold_rule", p.k, batch=batch
             )
             return est.rate
         gen = ensure_rng(rng)

@@ -1,19 +1,27 @@
-"""Tests for the seeded trial runner and its batched/parallel engine."""
+"""Tests for the seeded trial runner, its batched engine and its audit."""
 
 from __future__ import annotations
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.distributions import uniform
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, SimulationError
 from repro.experiments import (
     TRIAL_CHUNK,
     TrialRunner,
     estimate_probability,
     estimate_probability_batched,
 )
-from repro.zeroround import CollisionTrialKernel, ScalarCollisionTrial
+from repro.zeroround import (
+    CollisionTrialKernel,
+    ScalarCollisionTrial,
+    estimate_rejection_probability,
+)
 
 
 class TestTrialRunner:
@@ -51,7 +59,6 @@ class TestEstimateProbability:
         assert est.rate == pytest.approx(0.1, abs=0.04)
 
 
-# Module-level so the process-pool path can pickle them.
 _DIST = uniform(400)
 _SCALAR = ScalarCollisionTrial(_DIST, 9)
 _KERNEL = CollisionTrialKernel(_DIST, 9)
@@ -66,10 +73,10 @@ def _scalar_coin(rng):
 
 
 class TestBatchedEngine:
-    """The reproducibility contract: serial, batched, and parallel paths
-    must agree bit for bit, for any batch size and worker count, because
-    every TRIAL_CHUNK-sized chunk re-derives its generator from
-    ``(base_seed, *labels, chunk_index)``."""
+    """The reproducibility contract: scalar and batched paths must agree
+    bit for bit, for any batch size, because every TRIAL_CHUNK-sized
+    chunk re-derives its generator from ``(base_seed, *labels,
+    chunk_index)``."""
 
     TRIALS = 2 * TRIAL_CHUNK + 257  # exercises a partial final chunk
 
@@ -87,20 +94,6 @@ class TestBatchedEngine:
                 _KERNEL, self.TRIALS, "cfg", 1, batch=batch
             )
             assert np.array_equal(reference, flags), f"batch={batch}"
-
-    def test_worker_count_invariance(self):
-        runner = TrialRunner(base_seed=5)
-        reference = runner.run_flags_batched(_KERNEL, self.TRIALS, "cfg", 1)
-        parallel = runner.run_flags_batched(
-            _KERNEL, self.TRIALS, "cfg", 1, workers=2
-        )
-        assert np.array_equal(reference, parallel)
-
-    def test_scalar_parallel_matches_serial(self):
-        runner = TrialRunner(base_seed=8)
-        serial = runner.run_flags(_SCALAR, self.TRIALS, "w")
-        parallel = runner.run_flags(_SCALAR, self.TRIALS, "w", workers=2)
-        assert np.array_equal(serial, parallel)
 
     def test_error_rate_batched_matches_scalar_rate(self):
         runner = TrialRunner(base_seed=3)
@@ -128,10 +121,211 @@ class TestBatchedEngine:
             runner.run_flags_batched(_batched_coin, 0, "x")
         with pytest.raises(ParameterError):
             runner.run_flags_batched(_batched_coin, 10, "x", batch=0)
-        with pytest.raises(ParameterError):
-            runner.run_flags_batched(_batched_coin, 10, "x", workers=0)
 
     def test_estimate_probability_batched_wrapper(self):
         scalar = estimate_probability(_scalar_coin, 800, seed=2)
         batched = estimate_probability_batched(_batched_coin, 800, seed=2)
         assert scalar.failures == batched.failures
+
+
+class _FlipOne:
+    """``_batched_coin`` with the flag of one global trial index flipped."""
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.seen = 0
+
+    def __call__(self, rng, count):
+        flags = _batched_coin(rng, count)
+        local = self.index - self.seen
+        if 0 <= local < count:
+            flags[local] = not flags[local]
+        self.seen += count
+        return flags
+
+
+def _audit(kernel, trials, engine_check, reference=lambda: _scalar_coin):
+    return TrialRunner(base_seed=4).run_audited(
+        kernel,
+        reference,
+        trials,
+        "audit",
+        batch=16,
+        engine_check=engine_check,
+        span="test.engine_check",
+    )
+
+
+class TestRunAudited:
+    """The one engine_check audit every trial plane delegates to."""
+
+    def test_matching_kernel_returns_batched_flags(self):
+        flags = _audit(_batched_coin, 100, 1.0)
+        expected = TrialRunner(4).run_flags(_scalar_coin, 100, "audit")
+        assert np.array_equal(flags, expected)
+
+    def test_flip_inside_prefix_raises(self):
+        # engine_check=0.1 of 100 trials checks trials 0..9.
+        with pytest.raises(SimulationError, match=r"diverge.*\[9\] of 10"):
+            _audit(_FlipOne(9), 100, 0.1)
+
+    def test_flip_outside_prefix_passes(self):
+        flags = _audit(_FlipOne(10), 100, 0.1)
+        expected = _audit(_batched_coin, 100, 0.0)
+        assert np.flatnonzero(flags != expected).tolist() == [10]
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_engine_check_range_validated(self, bad):
+        with pytest.raises(ParameterError, match="engine_check"):
+            _audit(_batched_coin, 10, bad)
+
+    @pytest.mark.parametrize(
+        "trials,fraction",
+        [(100, 0.1), (100, 0.001), (7, 1.0), (10, 0.25), (3, 0.5)],
+    )
+    def test_span_reports_checked_prefix(self, trials, fraction):
+        with telemetry.tracing(telemetry.Tracer()) as tracer:
+            _audit(_batched_coin, trials, fraction)
+        (span,) = [
+            e for e in tracer.events
+            if e.get("name") == "test.engine_check"
+        ]
+        expected = min(trials, max(1, round(fraction * trials)))
+        assert span["counters"]["checked"] == expected
+        assert span["attrs"]["trials"] == expected
+
+    def test_reference_not_built_without_check(self):
+        def reference():
+            raise AssertionError("reference built with engine_check=0")
+
+        flags = _audit(_batched_coin, 50, 0.0, reference=reference)
+        assert flags.shape == (50,)
+
+
+@pytest.fixture(scope="module")
+def fx() -> SimpleNamespace:
+    """Small solved instances of every tester with a Monte-Carlo API."""
+    from repro.congest import (
+        CongestTrialRunner,
+        CongestUniformityTester,
+        HardenedCongestTester,
+        HardenedTrialRunner,
+    )
+    from repro.core import CollisionGapTester
+    from repro.localmodel import LocalTrialRunner, LocalUniformityTester
+    from repro.simulator import Topology
+    from repro.smp import (
+        BCGMapping,
+        ConcatenatedCode,
+        EqualityProtocol,
+        EqualityTrialRunner,
+        TesterBasedEqualityProtocol,
+    )
+    from repro.zeroround import AndRuleNetworkTester, ThresholdNetworkTester
+
+    star, ring = Topology.star(60), Topology.ring(512)
+    congest = CongestUniformityTester.solve(200, 60, 0.9, 1.0 / 3.0, 64)
+    hardened = HardenedCongestTester.solve(200, 60, 0.9, 1.0 / 3.0, 64)
+    local = LocalUniformityTester(n=2_000, eps=1.5, p=0.45)
+    code = ConcatenatedCode.for_message_bits(16, q=4)
+    torus = EqualityProtocol.build(16, delta=0.05, tau=2.0, code=code)
+    mapping = BCGMapping(code=code)
+    bcg = TesterBasedEqualityProtocol(
+        mapping=mapping,
+        tester=CollisionGapTester.from_delta(mapping.domain_size, 0.25),
+    )
+    x = np.zeros(16, dtype=np.int64)
+    return SimpleNamespace(
+        star=star,
+        ring=ring,
+        congest=congest,
+        congest_plane=CongestTrialRunner.build(congest, star),
+        hardened=hardened,
+        hardened_plane=HardenedTrialRunner.build(hardened, star),
+        local=local,
+        local_plane=LocalTrialRunner.build(local, ring, 16),
+        threshold=ThresholdNetworkTester.solve(50_000, 20_000, 0.9),
+        and_rule=AndRuleNetworkTester.solve(50_000, 1024, 1.0, 0.45),
+        x=x,
+        torus=torus,
+        torus_plane=EqualityTrialRunner.for_torus(torus, x, x),
+        bcg=bcg,
+        bcg_plane=EqualityTrialRunner.for_reduction(bcg, x, x),
+    )
+
+
+_RUNNER = TrialRunner(base_seed=0)
+
+#: ``(fx, trials) -> result`` for every public Monte-Carlo entry point.
+_ENTRY_POINTS = {
+    "TrialRunner.run_flags": lambda fx, t: _RUNNER.run_flags(
+        _scalar_coin, t, "x"
+    ),
+    "TrialRunner.run_flags_batched": lambda fx, t: _RUNNER.run_flags_batched(
+        _batched_coin, t, "x"
+    ),
+    "TrialRunner.run_audited": lambda fx, t: _RUNNER.run_audited(
+        _batched_coin, lambda: _scalar_coin, t, "x",
+        batch=16, engine_check=0.5, span="x",
+    ),
+    "TrialRunner.error_rate": lambda fx, t: _RUNNER.error_rate(
+        _scalar_coin, t
+    ),
+    "TrialRunner.error_rate_batched": lambda fx, t: _RUNNER.error_rate_batched(
+        _batched_coin, t
+    ),
+    "estimate_probability": lambda fx, t: estimate_probability(
+        _scalar_coin, t
+    ),
+    "estimate_probability_batched": lambda fx, t: estimate_probability_batched(
+        _batched_coin, t
+    ),
+    "estimate_rejection_probability": lambda fx, t: (
+        estimate_rejection_probability(_DIST, 9, t, rng=0)
+    ),
+    "ThresholdNetworkTester.estimate_error": lambda fx, t: (
+        fx.threshold.estimate_error(uniform(50_000), True, t, rng=0)
+    ),
+    "AndRuleNetworkTester.estimate_error": lambda fx, t: (
+        fx.and_rule.estimate_error(uniform(50_000), True, t, rng=0)
+    ),
+    "CongestUniformityTester.estimate_error": lambda fx, t: (
+        fx.congest.estimate_error(
+            fx.star, uniform(200), True, t, rng=0, fast_path=True
+        )
+    ),
+    "CongestTrialRunner.run_flags": lambda fx, t: (
+        fx.congest_plane.run_flags(uniform(200), True, t)
+    ),
+    "HardenedCongestTester.estimate_error": lambda fx, t: (
+        fx.hardened.estimate_error(fx.star, uniform(200), True, t, rng=0)
+    ),
+    "HardenedTrialRunner.run_flags": lambda fx, t: (
+        fx.hardened_plane.run_flags(uniform(200), True, t)
+    ),
+    "LocalUniformityTester.estimate_error": lambda fx, t: (
+        fx.local.estimate_error(fx.ring, uniform(2_000), True, 16, t, rng=0)
+    ),
+    "LocalTrialRunner.run_flags": lambda fx, t: (
+        fx.local_plane.run_flags(uniform(2_000), True, t)
+    ),
+    "EqualityProtocol.estimate_error": lambda fx, t: (
+        fx.torus.estimate_error(fx.x, fx.x, t, rng=0)
+    ),
+    "TesterBasedEqualityProtocol.estimate_error": lambda fx, t: (
+        fx.bcg.estimate_error(fx.x, fx.x, t, rng=0)
+    ),
+    "EqualityTrialRunner.run_flags": lambda fx, t: fx.torus_plane.run_flags(t),
+    "EqualityTrialRunner.scalar_flags": lambda fx, t: (
+        fx.bcg_plane.scalar_flags(t)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [10.5, True, 0, np.float64(3.0)])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_trial_count_validated_at_every_entry_point(fx, entry, bad):
+    """A non-integer, boolean or non-positive count is a ParameterError
+    at every public entry point — never a TypeError or a silent run."""
+    with pytest.raises(ParameterError, match="trials must be"):
+        _ENTRY_POINTS[entry](fx, bad)

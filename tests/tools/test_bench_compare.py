@@ -142,27 +142,38 @@ class TestComparePayloads:
 
 
 class TestCli:
+    #: The one pair the CLI tests compare; every other registered pair
+    #: points at a missing committed file, so its bench script never runs.
+    SYNTHETIC = "trials"
+
     def _run(self, tmp_path, committed, fresh, extra=()):
         committed_path = tmp_path / "committed.json"
         fresh_path = tmp_path / "fresh.json"
         committed_path.write_text(json.dumps(committed))
         fresh_path.write_text(json.dumps(fresh))
         missing = tmp_path / "missing.json"
-        return subprocess.run(
+        argv = []
+        for label, _, _ in bench_compare.BENCHES:
+            if label == self.SYNTHETIC:
+                argv += [f"--committed-{label}", str(committed_path),
+                         f"--fresh-{label}", str(fresh_path)]
+            else:
+                argv += [f"--committed-{label}", str(missing),
+                         f"--fresh-{label}", str(missing)]
+        result = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "bench_compare.py"),
-             "--committed-trials", str(committed_path),
-             "--fresh-trials", str(fresh_path),
-             # Point the other pairs at a nonexistent committed file so
-             # only the synthetic pair is compared (and nothing reruns).
-             "--committed-protocol", str(missing),
-             "--fresh-protocol", str(missing),
-             "--committed-robustness", str(missing),
-             "--fresh-robustness", str(missing),
-             *extra],
+             *argv, *extra],
             capture_output=True,
             text=True,
             timeout=60,
         )
+        # No bench script started: every other pair was skipped, and only
+        # the synthetic pair was compared.
+        for label, _, _ in bench_compare.BENCHES:
+            if label != self.SYNTHETIC:
+                assert f"[{label}] no committed payload" in result.stdout
+        assert result.stdout.count("shared *_seconds fields") == 1
+        return result
 
     def test_passes_within_tolerance(self, tmp_path):
         result = self._run(

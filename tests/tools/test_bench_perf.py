@@ -2,8 +2,8 @@
 
 Runs ``tools/bench_perf.py --smoke`` as a subprocess (the way CI and
 users invoke it) and checks the JSON contract: the run succeeds, the
-three engine paths agree bit for bit, and the batched path actually
-beats the serial loop.
+serial and batched paths agree bit for bit, and the batched path
+actually beats the serial loop.
 """
 
 from __future__ import annotations

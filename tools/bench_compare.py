@@ -1,12 +1,12 @@
 """Regression gate: diff a fresh benchmark run against committed numbers.
 
-Collects every ``*_seconds`` field from the committed ``BENCH_trials.json``,
-``BENCH_protocol.json``, ``BENCH_robustness.json``, and ``BENCH_smp.json``
-payloads and from a
-freshly generated run of the same benchmarks, normalises each timing by
-the trial/repeat count in scope (so a ``--smoke`` run is comparable to
-the committed full run), and fails when any shared field got slower by
-more than the tolerance.
+Collects every ``*_seconds`` field from the committed payload of each
+benchmark in :data:`BENCHES` (``BENCH_trials.json``,
+``BENCH_protocol.json``, ``BENCH_robustness.json``, ``BENCH_smp.json``)
+and from a freshly generated run of the same benchmarks, normalises each
+timing by the trial/repeat count in scope (so a ``--smoke`` run is
+comparable to the committed full run), and fails when any shared field
+got slower by more than the tolerance.
 
 Speedups and *new* fields never fail the gate — only a recorded timing
 regressing does.  Timings whose committed and fresh totals are both under
@@ -38,6 +38,16 @@ import tempfile
 from typing import Dict, List, Optional, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Every gated benchmark: ``(label, script under tools/, committed payload
+#: under the repo root)``.  ``main`` builds the ``--committed-<label>`` and
+#: ``--fresh-<label>`` flags from it and compares the pairs in this order.
+BENCHES = (
+    ("trials", "bench_perf.py", "BENCH_trials.json"),
+    ("protocol", "bench_protocol.py", "BENCH_protocol.json"),
+    ("robustness", "bench_robustness.py", "BENCH_robustness.json"),
+    ("smp", "bench_smp.py", "BENCH_smp.json"),
+)
 
 #: Paths where both runs spent less than this many seconds are skipped —
 #: sub-millisecond timer noise, not a measurable regression.
@@ -151,26 +161,13 @@ def main(argv=None) -> int:
                         help="fail on any *_seconds field slower by more "
                              "than this fraction (default 0.30; 3.0 with "
                              "--smoke)")
-    parser.add_argument("--fresh-trials", type=pathlib.Path, default=None,
-                        help="fresh bench_perf payload; reused if it exists, "
-                             "generated there otherwise")
-    parser.add_argument("--fresh-protocol", type=pathlib.Path, default=None,
-                        help="fresh bench_protocol payload; reused if it "
-                             "exists, generated there otherwise")
-    parser.add_argument("--fresh-robustness", type=pathlib.Path, default=None,
-                        help="fresh bench_robustness payload; reused if it "
-                             "exists, generated there otherwise")
-    parser.add_argument("--fresh-smp", type=pathlib.Path, default=None,
-                        help="fresh bench_smp payload; reused if it exists, "
-                             "generated there otherwise")
-    parser.add_argument("--committed-trials", type=pathlib.Path,
-                        default=ROOT / "BENCH_trials.json")
-    parser.add_argument("--committed-protocol", type=pathlib.Path,
-                        default=ROOT / "BENCH_protocol.json")
-    parser.add_argument("--committed-robustness", type=pathlib.Path,
-                        default=ROOT / "BENCH_robustness.json")
-    parser.add_argument("--committed-smp", type=pathlib.Path,
-                        default=ROOT / "BENCH_smp.json")
+    for label, script, committed in BENCHES:
+        parser.add_argument(f"--fresh-{label}", type=pathlib.Path,
+                            default=None,
+                            help=f"fresh {script} payload; reused if it "
+                                 f"exists, generated there otherwise")
+        parser.add_argument(f"--committed-{label}", type=pathlib.Path,
+                            default=ROOT / committed)
     args = parser.parse_args(argv)
 
     tolerance = args.tolerance
@@ -181,15 +178,9 @@ def main(argv=None) -> int:
 
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for label, script, committed_path, fresh_path in (
-            ("trials", "bench_perf.py", args.committed_trials,
-             args.fresh_trials),
-            ("protocol", "bench_protocol.py", args.committed_protocol,
-             args.fresh_protocol),
-            ("robustness", "bench_robustness.py", args.committed_robustness,
-             args.fresh_robustness),
-            ("smp", "bench_smp.py", args.committed_smp, args.fresh_smp),
-        ):
+        for label, script, _ in BENCHES:
+            committed_path = getattr(args, f"committed_{label}")
+            fresh_path = getattr(args, f"fresh_{label}")
             if not committed_path.exists():
                 print(f"[{label}] no committed payload at {committed_path}; "
                       f"skipping")

@@ -1,20 +1,18 @@
-"""Time the trial engine's serial, batched, and parallel paths.
+"""Time the trial engine's serial and batched paths.
 
 Runs an E1-style collision workload (the paper's single-collision gap
-tester at n=20 000, delta=0.05) through three bit-identical routes:
+tester at n=20 000, delta=0.05) through two bit-identical routes:
 
 - **serial**    — ``TrialRunner.run_flags`` with the scalar per-trial
   experiment (one ``distribution.sample(s)`` call per trial);
 - **batched**   — ``TrialRunner.run_flags_batched`` with the vectorised
-  kernel (one ``(m, s)`` sample matrix per call);
-- **parallel**  — the batched path with ``workers=N`` chunk-level
-  processes.
+  kernel (one ``(m, s)`` sample matrix per call).
 
 Because every chunk of ``TRIAL_CHUNK`` trials re-derives its generator
-from ``(base_seed, *labels, chunk_index)``, all three must produce the
-same flag array bit for bit — the script verifies this (and invariance
-to the ``batch`` knob) before reporting timings, and records the verdict
-in the output JSON.
+from ``(base_seed, *labels, chunk_index)``, both must produce the same
+flag array bit for bit — the script verifies this (and invariance to the
+``batch`` knob) before reporting timings, and records the verdict in the
+output JSON.
 
 Also micro-benchmarks ``has_collision``'s small-batch set fast path
 against the sort-based path it replaced.
@@ -23,7 +21,7 @@ Usage::
 
     PYTHONPATH=src python tools/bench_perf.py            # full run, 20k+ trials
     PYTHONPATH=src python tools/bench_perf.py --smoke    # <30 s sanity run
-    PYTHONPATH=src python tools/bench_perf.py --trials 50000 --workers 8
+    PYTHONPATH=src python tools/bench_perf.py --trials 50000
 
 Writes ``BENCH_trials.json`` (override with ``--out``).
 """
@@ -124,8 +122,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--trials", type=int, default=None,
                         help="Monte-Carlo trials (default 24000, smoke 2000)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="processes for the parallel path (default 4)")
     parser.add_argument("--batch", type=int, default=TRIAL_CHUNK,
                         help=f"trials per vectorised call (default {TRIAL_CHUNK})")
     parser.add_argument("--smoke", action="store_true",
@@ -137,18 +133,12 @@ def main(argv=None) -> int:
 
     if args.trials is not None and args.trials < 1:
         parser.error(f"--trials must be >= 1, got {args.trials}")
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.batch < 1:
         parser.error(f"--batch must be >= 1, got {args.batch}")
 
     trials = args.trials
-    workers = args.workers
-    if args.smoke:
-        trials = trials if trials is not None else 2_000
-        workers = min(workers, 2)
     if trials is None:
-        trials = 24_000
+        trials = 2_000 if args.smoke else 24_000
 
     tester = CollisionGapTester.from_delta(N, DELTA)
     dist = uniform(N)
@@ -158,7 +148,7 @@ def main(argv=None) -> int:
     labels = ("bench", "e1", tester.s)
 
     print(f"workload: n={N} delta={DELTA} s={tester.s} trials={trials} "
-          f"batch={args.batch} workers={workers} cpu_count={os.cpu_count()}")
+          f"batch={args.batch} cpu_count={os.cpu_count()}")
 
     t_serial, flags_serial = _time(
         lambda: runner.run_flags(scalar, trials, *labels))
@@ -170,19 +160,12 @@ def main(argv=None) -> int:
     print(f"batched  (vectorised kernel)    : {t_batched:8.3f} s  "
           f"[{t_serial / t_batched:.1f}x]")
 
-    t_parallel, flags_parallel = _time(
-        lambda: runner.run_flags_batched(kernel, trials, *labels,
-                                         batch=args.batch, workers=workers))
-    print(f"parallel (workers={workers})          : {t_parallel:8.3f} s  "
-          f"[{t_serial / t_parallel:.1f}x]")
-
-    # Reproducibility: all paths and any batch size give the same bits.
+    # Reproducibility: both paths and any batch size give the same bits.
     odd_batch = max(1, args.batch // 3 + 1)
     flags_oddbatch = runner.run_flags_batched(kernel, trials, *labels,
                                               batch=odd_batch)
     bit_identical = {
         "serial_vs_batched": bool(np.array_equal(flags_serial, flags_batched)),
-        "serial_vs_parallel": bool(np.array_equal(flags_serial, flags_parallel)),
         "batch_invariance": bool(np.array_equal(flags_batched, flags_oddbatch)),
     }
     print(f"bit-identical: {bit_identical}")
@@ -213,13 +196,10 @@ def main(argv=None) -> int:
             "base_seed": BASE_SEED,
             "trial_chunk": TRIAL_CHUNK,
             "batch": args.batch,
-            "workers": workers,
         },
         "serial_seconds": round(t_serial, 4),
         "batched_seconds": round(t_batched, 4),
-        "parallel_seconds": round(t_parallel, 4),
         "speedup_batched": round(t_serial / t_batched, 2),
-        "speedup_parallel": round(t_serial / t_parallel, 2),
         "bit_identical": bit_identical,
         "has_collision_us": collision,
         "trace_phases": trace_phase_breakdown(

@@ -351,7 +351,7 @@ Environment: pure-Python simulation (numpy), single machine, all
 randomness seeded.  Monte-Carlo estimates run on the batched trial
 engine (``repro.experiments.TrialRunner``): trials are chunk-keyed by
 ``(base_seed, labels, chunk)``, so every number below is bit-for-bit
-reproducible at any batch size or worker count — see the README's
+reproducible at any batch size — see the README's
 "trial engine" section and ``BENCH_trials.json`` for engine timings.
 Regenerate with ``pytest benchmarks/ --benchmark-only`` then this
 script.
