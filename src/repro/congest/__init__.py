@@ -64,7 +64,6 @@ from repro.congest.trial_plane import (
     CongestTrialRunner,
     CongestVerdictKernel,
     HardenedTrialRunner,
-    HardenedVerdictKernel,
     LayoutCheck,
     PackagingLayout,
     RealisedLayout,
@@ -94,7 +93,6 @@ __all__ = [
     "CongestTrialRunner",
     "CongestVerdictKernel",
     "HardenedTrialRunner",
-    "HardenedVerdictKernel",
     "LayoutCheck",
     "PackagingLayout",
     "RealisedLayout",

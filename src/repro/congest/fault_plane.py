@@ -19,7 +19,8 @@ state machine:
    fold deadlines and the verdict broadcast — is replayed round by round
    on integer arrays, no node objects;
 3. verdicts and agreement are then one gather + sort + threshold pass
-   per sample batch over the realised per-trial package membership.
+   per batch of driver doubles over the realised per-trial package
+   membership (:func:`repro.zeroround.network.grouped_collision`).
 
 Fault-replay validity contract
 ------------------------------
@@ -72,9 +73,13 @@ from repro.exceptions import (
     ParameterError,
     SimulationError,
 )
-from repro.rng import ensure_rng
 from repro.simulator.faults import _SALT_DROP, FaultPlan, uniform_array
 from repro.simulator.graph import Topology
+from repro.zeroround.network import (
+    grouped_collision,
+    grouped_collision_flags,
+    seed_drivers,
+)
 
 _NEVER = 1 << 30  # crash round for "never crashes"
 _BIG = 1 << 30  # "not yet" round sentinel
@@ -174,9 +179,20 @@ class ReplayedTrials:
         agreeing with it.
         """
         with telemetry.span("fault_plane.score", trials=self.trials):
-            return self._score(flat)
+            return self._score(flat, grouped_collision_flags)
 
-    def _score(self, flat: np.ndarray) -> "FaultPlaneScore":
+    def score_uniform(
+        self, u: np.ndarray, distribution: DiscreteDistribution
+    ) -> "FaultPlaneScore":
+        """:meth:`score` of ``distribution.index_quantiles(u)``, read
+        straight from the ``(T, k·s)`` driver doubles ``u``."""
+        with telemetry.span("fault_plane.score", trials=self.trials):
+            return self._score(
+                u, lambda flat, slots: grouped_collision(flat, slots, distribution)
+            )
+
+    def _score(self, flat: np.ndarray, collide) -> "FaultPlaneScore":
+        """``collide(row, slots)`` flags the packages of the flattened batch."""
         T, k = self.trials, self.k
         flat = np.asarray(flat)
         if flat.shape != (T, self.total_tokens):
@@ -185,11 +201,9 @@ class ReplayedTrials:
                 f"{flat.shape}"
             )
         alarms = np.zeros((T, k), dtype=np.int64)
-        if len(self.pkg_trial):
-            values = flat[self.pkg_trial[:, None], self.members]
-            values.sort(axis=1)
-            flagged = (values[:, 1:] == values[:, :-1]).any(axis=1)
-            np.add.at(alarms, (self.pkg_trial, self.pkg_root), flagged)
+        slots = self.pkg_trial[:, None] * self.total_tokens + self.members
+        flagged = collide(flat.reshape(-1), slots)
+        np.add.at(alarms, (self.pkg_trial, self.pkg_root), flagged)
         # Fragment-root decisions: reject-always where threshold == -1.
         decides = (self.threshold >= 0) & (alarms < self.threshold)
         root = k - 1
@@ -842,18 +856,21 @@ class HardenedFaultPlane:
     ) -> FaultPlaneScore:
         """Score trial ``i`` on the samples ``ensure_rng(seeds[i])``
         draws — exactly the engine path's ``sample_matrix(k, s)``
-        stream, so the verdicts match ``tester.run`` per seed."""
+        stream, drawn as driver doubles, so the verdicts match
+        ``tester.run`` per seed.  A seed listed for several plans is
+        drawn once."""
         if len(seeds) != self.trials.trials:
             raise ParameterError(
                 f"need one seed per plan: {len(seeds)} seeds, "
                 f"{self.trials.trials} plans"
             )
         total = self.trials.total_tokens
+        row = {sd: i for i, sd in enumerate(dict.fromkeys(seeds))}
         with telemetry.span(
             "fault_plane.draw", trials=len(seeds)
         ) as sp:
-            flat = np.stack(
-                [distribution.sample(total, ensure_rng(sd)) for sd in seeds]
-            )
-            sp.count("tokens", total * len(seeds))
-        return self.trials.score(flat)
+            u = seed_drivers(distribution, total, list(row))
+            sp.count("tokens", total * len(row))
+        return self.trials.score_uniform(
+            u[[row[sd] for sd in seeds]], distribution
+        )

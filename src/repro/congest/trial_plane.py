@@ -10,9 +10,11 @@ about buffer *positions*, not values.  Hence **which node's j-th sample
 lands in which package** — the *packaging layout* — is fixed across
 trials, and a trial's verdict reduces to
 
-1. gather each package's sample values (a numpy fancy-index),
-2. flag packages containing a repeat (one sort+diff pass —
-   :func:`repro.zeroround.network.grouped_collision_flags`),
+1. draw only the ``U[0, 1)`` driver doubles behind the samples
+   (:meth:`~repro.distributions.base.DiscreteDistribution.sample_uniform`),
+2. flag packages containing a repeat — one gather + one sort-and-gap
+   pass, :func:`repro.zeroround.network.grouped_collision`, which maps
+   to outcomes only the few pairs that could collide,
 3. compare the alarm count against the Theorem 1.2 threshold for the
    realised package count ``ℓ`` (a constant).
 
@@ -38,11 +40,11 @@ Three layout sources — division of labour:
   layouts themselves — flooding, retries, token transfer, give-ups — as
   array ops over the whole plan batch, no engine runs at all.
 
-Bit-identity contract: the batched kernels consume the trial engine's
+Bit-identity contract: the batched kernel consumes the trial engine's
 chunk-keyed streams exactly like the scalar engine experiments (one
-``sample_matrix(k, s)``-worth of draws per trial, numpy streams being
-prefix-stable under call splitting), under the same trial labels — so
-fast-path and engine trial ``t`` see the *same sample values* and must
+``sample_matrix(k, s)``-worth of driver draws per trial, numpy streams
+being prefix-stable under call splitting), under the same trial labels —
+so fast-path and engine trial ``t`` see the *same sample values* and must
 produce the same verdict.  ``engine_check`` re-runs a prefix of the
 trials through the real engine and raises on any disagreement.  The
 engine remains the measurement of record for rounds, bandwidth and
@@ -75,12 +77,16 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.experiments.runner import TrialRunner
-from repro.rng import ensure_rng
 from repro.simulator.engine import SynchronousEngine
 from repro.simulator.faults import FaultPlan
 from repro.simulator.graph import Topology, TreeSchedule
 from repro.simulator.message import bits_for_int
-from repro.zeroround.network import auto_batch, grouped_collision_flags
+from repro.zeroround.network import (
+    auto_batch,
+    grouped_collision,
+    grouped_collision_flags,
+    seed_drivers,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +279,33 @@ class PackagingLayout:
 # ---------------------------------------------------------------------------
 
 
-def _accepts(
-    flat: np.ndarray, members: np.ndarray, threshold: Optional[int]
+def _root_accepts(
+    flags: np.ndarray, threshold: Optional[int], hardened: bool = False
 ) -> np.ndarray:
-    """Vectorised root decision over a ``(trials, k·s)`` sample matrix.
+    """The root's decision from ``(trials, ℓ)`` package collision flags.
 
-    ``threshold=None`` encodes the zero-package degenerate case, where
-    the plain root accepts unconditionally.
+    ``threshold=None`` encodes a decision that reads no sample: the plain
+    root with zero packages accepts, the hardened root rejects (zero
+    counted packages, or no separating threshold at the realised ``ℓ``).
     """
     if threshold is None:
-        return np.ones(flat.shape[0], dtype=bool)
-    alarms = grouped_collision_flags(flat, members).sum(axis=1)
-    return alarms < threshold
+        return np.full(flags.shape[0], not hardened)
+    return flags.sum(axis=1) < threshold
 
 
 @dataclass(frozen=True, eq=False)
 class CongestVerdictKernel:
-    """Batched experiment: fault-free Theorem 1.4 trial error flags.
+    """Batched experiment: Theorem 1.4 trial error flags over a layout.
 
     ``(rng, count) -> flags`` where ``True`` means the verdict disagrees
     with ``is_uniform``.  Consumes exactly ``count`` trials' worth of
-    ``sample_matrix(k, s)`` draws, so it is bit-identical to the scalar
-    engine experiment on the same chunk stream.
+    ``sample_matrix(k, s)`` draws, as driver doubles, so it is
+    bit-identical to the scalar engine experiment on the same chunk
+    stream.  Serves the fault-free tester over a :class:`PackagingLayout`
+    and the hardened one (``hardened=True``) over a
+    :class:`RealisedLayout`, where ``root_alive=False`` (the fixed plan
+    crashes the elected root) makes every verdict ``None`` — an error on
+    either side — while the stream is still consumed.
     """
 
     distribution: DiscreteDistribution
@@ -302,56 +313,23 @@ class CongestVerdictKernel:
     threshold: Optional[int]
     total_tokens: int
     is_uniform: bool
+    hardened: bool = False
+    root_alive: bool = True
 
     def __call__(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        with telemetry.span("trial_plane.draw", trials=count) as sp:
-            flat = self.distribution.sample(count * self.total_tokens, rng)
+        attrs = {"hardened": True} if self.hardened else {}
+        with telemetry.span("trial_plane.draw", trials=count, **attrs) as sp:
+            u = self.distribution.sample_uniform(count * self.total_tokens, rng)
             sp.count("tokens", count * self.total_tokens)
-        with telemetry.span("trial_plane.verdict", trials=count):
-            accepted = _accepts(
-                flat.reshape(count, self.total_tokens),
-                self.members,
-                self.threshold,
-            )
-            return accepted != self.is_uniform
-
-
-@dataclass(frozen=True, eq=False)
-class HardenedVerdictKernel:
-    """Batched experiment: hardened-tester trial error flags under a
-    fixed fault plan, replayed over the extracted realised layout.
-
-    ``root_alive=False`` (the plan crashes the elected root) means every
-    trial's verdict is ``None`` — an error on either side — but the
-    sample stream is still consumed, keeping the chunk streams aligned
-    with the engine path.  ``threshold=None`` with a live root encodes
-    the reject-always outcomes (zero counted packages, or no separating
-    threshold at the realised ``ℓ``).
-    """
-
-    distribution: DiscreteDistribution
-    members: np.ndarray
-    threshold: Optional[int]
-    total_tokens: int
-    is_uniform: bool
-    root_alive: bool
-
-    def __call__(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        with telemetry.span(
-            "trial_plane.draw", trials=count, hardened=True
-        ) as sp:
-            flat = self.distribution.sample(count * self.total_tokens, rng)
-            sp.count("tokens", count * self.total_tokens)
-        with telemetry.span("trial_plane.verdict", trials=count, hardened=True):
+        with telemetry.span("trial_plane.verdict", trials=count, **attrs):
             if not self.root_alive:
                 return np.ones(count, dtype=bool)
-            if self.threshold is None:
-                accepted = np.zeros(count, dtype=bool)
-            else:
-                alarms = grouped_collision_flags(
-                    flat.reshape(count, self.total_tokens), self.members
-                ).sum(axis=1)
-                accepted = alarms < self.threshold
+            flags = grouped_collision(
+                u.reshape(count, self.total_tokens),
+                self.members,
+                self.distribution,
+            )
+            accepted = _root_accepts(flags, self.threshold, self.hardened)
             return accepted != self.is_uniform
 
 
@@ -402,23 +380,21 @@ class CongestTrialRunner:
     def accepts(self, samples: np.ndarray) -> np.ndarray:
         """Verdicts for a ``(trials, k·s)`` (or ``(trials, k, s)``) batch."""
         flat = np.asarray(samples).reshape(-1, self.layout.total_tokens)
-        return _accepts(flat, self.layout.members, self.threshold)
+        flags = grouped_collision_flags(flat, self.layout.members)
+        return _root_accepts(flags, self.threshold)
 
     def verdicts_for_seeds(
         self, distribution: DiscreteDistribution, seeds: Sequence[int]
     ) -> List[bool]:
         """Per-seed verdicts matching ``tester.run(topo, dist, rng=seed)``.
 
-        Each seed's samples are drawn exactly as the engine path draws
-        them (``ensure_rng(seed)`` then one ``sample_matrix(k, s)``), so
-        verdict ``i`` is bit-identical to the engine run at
-        ``seeds[i]``.
+        Each seed's driver doubles are drawn exactly as the engine path
+        draws its samples, so verdict ``i`` is bit-identical to the
+        engine run at ``seeds[i]``.
         """
-        total = self.layout.total_tokens
-        flat = np.stack(
-            [distribution.sample(total, ensure_rng(seed)) for seed in seeds]
-        )
-        return [bool(a) for a in self.accepts(flat)]
+        u = seed_drivers(distribution, self.layout.total_tokens, seeds)
+        flags = grouped_collision(u, self.layout.members, distribution)
+        return [bool(a) for a in _root_accepts(flags, self.threshold)]
 
     # -- trial-engine APIs ---------------------------------------------
 
@@ -650,16 +626,12 @@ class HardenedTrialRunner:
     ) -> List[Optional[bool]]:
         """Per-seed verdicts matching ``tester.run(..., rng=seed,
         faults=plan).verdict`` (``None`` when the root crashed)."""
-        total = self.layout.total_tokens
-        flat = np.stack(
-            [distribution.sample(total, ensure_rng(seed)) for seed in seeds]
-        )
+        u = seed_drivers(distribution, self.layout.total_tokens, seeds)
         if not self.layout.root_alive:
             return [None] * len(seeds)
-        if self.threshold is None:
-            return [False] * len(seeds)
-        alarms = grouped_collision_flags(flat, self.layout.members).sum(axis=1)
-        return [bool(a < self.threshold) for a in alarms]
+        flags = grouped_collision(u, self.layout.members, distribution)
+        accepted = _root_accepts(flags, self.threshold, hardened=True)
+        return [bool(a) for a in accepted]
 
     # -- trial-engine APIs ---------------------------------------------
 
@@ -675,12 +647,13 @@ class HardenedTrialRunner:
         (labels ``("hardened", k)``); see
         :meth:`CongestTrialRunner.run_flags` for the ``engine_check``
         contract."""
-        kernel = HardenedVerdictKernel(
+        kernel = CongestVerdictKernel(
             distribution=distribution,
             members=self.layout.members,
             threshold=self.threshold,
             total_tokens=self.layout.total_tokens,
             is_uniform=is_uniform,
+            hardened=True,
             root_alive=self.layout.root_alive,
         )
         return TrialRunner(base_seed=base_seed).run_audited(

@@ -18,9 +18,10 @@ Design notes
   :meth:`DiscreteDistribution.sample` would) and
   :meth:`DiscreteDistribution.index_quantiles` maps driver values to
   outcomes through a cached guide table, bit-identical to ``choice``'s own
-  ``searchsorted``.  Batched consumers that only read a subset of the
-  drawn slots (the LOCAL trial plane) pay the quantile lookup just for
-  the slots they use.
+  ``searchsorted``.  The trial planes' collision kernel
+  (:func:`repro.zeroround.network.grouped_collision`) draws only the
+  doubles and pays the quantile lookup just for the few pairs that could
+  collide.
 - The class is deliberately *final-style* and value-semantic: all deriving
   operations (:meth:`mix`, :meth:`conditioned_on`, :meth:`permuted`) return
   new instances.
@@ -188,10 +189,9 @@ class DiscreteDistribution:
 
         ``index_quantiles(sample_uniform(size, seed)) == sample(size, seed)``
 
-        holds exactly, value for value.  Batched consumers (the LOCAL
-        trial plane) exploit the split: draw every trial's doubles in one
-        call, then quantile-map only the slots the protocol actually
-        reads.
+        holds exactly, value for value.  The trial planes exploit the
+        split: draw every trial's doubles in one call, then quantile-map
+        only the draws a collision test cannot settle from the gaps.
         """
         if size < 0:
             raise ValueError(f"sample size must be >= 0, got {size}")
@@ -201,7 +201,8 @@ class DiscreteDistribution:
         return gen.random(size)
 
     def _quantile_tables(self) -> tuple:
-        """Cached ``(cdf, buckets, guide)`` for exact inverse-CDF lookup.
+        """Cached ``(cdf, buckets, guide, max_bin_width)`` for exact
+        inverse-CDF lookup.
 
         The CDF is normalised exactly as ``Generator.choice`` normalises
         it (``cumsum`` then divide by the last entry), so lookups agree
@@ -216,9 +217,10 @@ class DiscreteDistribution:
             cdf /= cdf[-1]
             buckets = 1 << max(1, int(np.ceil(np.log2(4.0 * self.n))))
             guide = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
+            width = float(np.diff(cdf, prepend=0.0).max())
             cdf.setflags(write=False)
             guide.setflags(write=False)
-            self._cached_quantiles = (cdf, buckets, guide)
+            self._cached_quantiles = (cdf, buckets, guide, width)
         return self._cached_quantiles
 
     def index_quantiles(self, u: np.ndarray) -> np.ndarray:
@@ -233,7 +235,7 @@ class DiscreteDistribution:
         cumulative-sum rebuild, so this is much cheaper than ``choice``
         itself.
         """
-        cdf, buckets, guide = self._quantile_tables()
+        cdf, buckets, guide, _ = self._quantile_tables()
         u = np.asarray(u, dtype=np.float64)
         if u.size and (float(u.min()) < 0.0 or float(u.max()) >= 1.0):
             raise ValueError("driver draws must lie in [0, 1)")
@@ -254,12 +256,12 @@ class DiscreteDistribution:
         """Largest single-outcome step of the normalised CDF.
 
         Two driver draws can map to the same outcome only if they differ
-        by less than this — the gap test the LOCAL verdict kernel uses to
-        discard almost every sorted-adjacent sample pair before doing an
-        exact :meth:`index_quantiles` lookup on the survivors.
+        by at most this — the gap test
+        :func:`repro.zeroround.network.grouped_collision` uses to discard
+        almost every sorted-adjacent pair before doing an exact
+        :meth:`index_quantiles` lookup on the survivors.
         """
-        cdf, _, _ = self._quantile_tables()
-        return float(np.diff(cdf, prepend=0.0).max())
+        return self._quantile_tables()[3]
 
     def sample_matrix(self, rows: int, cols: int, rng: SeedLike = None) -> np.ndarray:
         """Draw a ``rows x cols`` matrix of i.i.d. samples.

@@ -222,7 +222,6 @@ def _sweep_points(
         # Imported here: repro.experiments.__init__ loads this module,
         # and the fault plane uses the congest package.
         from repro.congest.fault_plane import HardenedFaultPlane
-        from repro.rng import ensure_rng
 
         fast_start = time.perf_counter()
         with telemetry.span(
@@ -236,27 +235,10 @@ def _sweep_points(
             plane = HardenedFaultPlane.build(
                 tester, topo, plans, d_hint=d_hint
             )
-            # Trial t draws the same samples at every grid point, so
-            # sample the `trials` unique streams once and fan them out
-            # by row.
-            total = plane.trials.total_tokens
-            fan = np.tile(np.arange(trials), len(grid))
-            score_u = plane.trials.score(
-                np.stack(
-                    [
-                        dist_u.sample(total, ensure_rng(base_seed + t))
-                        for t in range(trials)
-                    ]
-                )[fan]
-            )
-            score_f = plane.trials.score(
-                np.stack(
-                    [
-                        dist_far.sample(total, ensure_rng(base_seed + t))
-                        for t in range(trials)
-                    ]
-                )[fan]
-            )
+            # Trial t draws the same samples at every grid point.
+            seeds = [base_seed + t for _ in grid for t in range(trials)]
+            score_u = plane.score_seeds(dist_u, seeds)
+            score_f = plane.score_seeds(dist_far, seeds)
         fast_share = (time.perf_counter() - fast_start) / len(grid)
 
     points = []

@@ -12,15 +12,13 @@ gathering — is fixed across trials, and a trial's verdict reduces to
 1. draw only the ``U[0, 1)`` *driver* values behind ``sample`` (the half
    of inverse-CDF sampling that must touch the stream —
    :meth:`~repro.distributions.base.DiscreteDistribution.sample_uniform`),
-2. gather each repetition's driver values (one ``np.take`` over the
-   per-virtual-node slot lists — typically a small fraction of the
-   ``k`` slots drawn per trial), sort them as raw IEEE bit patterns,
-3. flag repetitions containing a repeat: two draws map to the same
-   outcome iff no CDF boundary separates them, so sorted-adjacent pairs
-   further apart than the largest CDF step can be discarded wholesale
-   and only the rare survivors need an exact
+2. flag repetitions containing a repeat with the planes' shared kernel,
+   :func:`repro.zeroround.network.grouped_collision`: one gather of each
+   repetition's driver values over the per-virtual-node slot lists
+   (typically a small fraction of the ``k`` slots drawn per trial), one
+   sort, and exact
    :meth:`~repro.distributions.base.DiscreteDistribution.index_quantiles`
-   lookup,
+   lookups only for the sorted-adjacent pairs close enough to collide,
 4. AND across the ``m`` repetitions per virtual node (a node rejects iff
    **all** its repetitions saw a collision), then across virtual nodes
    (the network rejects iff **any** node rejects — Theorem 1.1).
@@ -70,9 +68,15 @@ from repro.exceptions import ParameterError, SimulationError
 from repro.experiments.runner import TrialRunner
 from repro.localmodel.gather import GatherResult, assign_catchments
 from repro.localmodel.mis import luby_mis
-from repro.rng import derive, ensure_rng, spawn
+from repro.rng import derive, spawn
 from repro.simulator.graph import Topology
-from repro.zeroround.network import auto_batch, grouped_collision_flags
+from repro.zeroround.network import (
+    and_rule_accepts,
+    auto_batch,
+    grouped_collision,
+    grouped_collision_flags,
+    seed_drivers,
+)
 
 #: Sentinel larger than any drawn priority (draws are < 2**63 - 1).
 _NO_PRIORITY = np.int64(2**63 - 1)
@@ -387,18 +391,13 @@ class LocalVerdictKernel:
     ``sample(k)`` draws, so it is bit-identical to the scalar
     ``test_with_plan`` experiment on the same chunk stream.
 
-    The trick that makes trials cheap: only the ``U[0, 1)`` *driver*
-    values behind ``sample`` are drawn (``sample_uniform`` advances the
-    generator identically), and the expensive inverse-CDF mapping is
-    paid just where it matters.  Per batch the verdict is one ``take``
-    gathering the slots the protocol reads, one bit-pattern sort per
-    repetition (non-negative IEEE doubles order like their values), a
-    gap filter — sorted-adjacent driver pairs at least ``max_bin_width``
-    apart straddle a CDF boundary and cannot collide — and exact
-    ``index_quantiles`` lookups on the few surviving pairs.  Then an
-    ``all`` across each node's ``m`` copies (a node rejects iff every
-    repetition saw a collision) and an ``any`` across nodes (the network
-    rejects iff any node rejects).
+    Only the ``U[0, 1)`` *driver* values behind ``sample`` are drawn
+    (``sample_uniform`` advances the generator identically); per batch
+    the verdict is one :func:`~repro.zeroround.network.grouped_collision`
+    pass over the repetitions' slot lists, then an ``all`` across each
+    node's ``m`` copies (a node rejects iff every repetition saw a
+    collision) and an ``any`` across nodes (the network rejects iff any
+    node rejects).
     """
 
     distribution: DiscreteDistribution
@@ -421,26 +420,8 @@ class LocalVerdictKernel:
 
     def accepts_uniform(self, u: np.ndarray) -> np.ndarray:
         """AND-rule verdicts for a ``(trials, k)`` driver-draw batch."""
-        count, s_per = u.shape[0], self.members.shape[1]
-        gathered = np.take(u, self.members.reshape(-1), axis=1)
-        piles = gathered.reshape(count, -1, s_per)
-        collided = np.zeros(piles.shape[:2], dtype=bool)
-        if s_per > 1:
-            ordered = np.sort(piles.view(np.uint64), axis=-1).view(np.float64)
-            gaps = np.diff(ordered, axis=-1)
-            close = np.flatnonzero(
-                (gaps < self.distribution.max_bin_width()).reshape(-1)
-            )
-            if close.size:
-                pile = close // (s_per - 1)
-                offset = close - pile * (s_per - 1)
-                runs = ordered.reshape(-1, s_per)
-                same = self.distribution.index_quantiles(
-                    runs[pile, offset]
-                ) == self.distribution.index_quantiles(runs[pile, offset + 1])
-                collided.reshape(-1)[pile[same]] = True
-        rejects = collided.reshape(count, -1, self.m).all(axis=2)
-        return ~rejects.any(axis=1)
+        collided = grouped_collision(u, self.members, self.distribution)
+        return and_rule_accepts(collided, self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,8 +490,7 @@ class LocalTrialRunner:
         """Verdicts for a ``(trials, k)`` sample batch."""
         flat = np.asarray(samples).reshape(-1, self.layout.k)
         collided = grouped_collision_flags(flat, self.members)
-        rejects = collided.reshape(flat.shape[0], -1, self.params.m).all(axis=2)
-        return ~rejects.any(axis=1)
+        return and_rule_accepts(collided, self.params.m)
 
     def verdicts_for_seeds(
         self, distribution: DiscreteDistribution, seeds
@@ -522,20 +502,9 @@ class LocalTrialRunner:
         ``sample_uniform(k)``), so verdict ``i`` is bit-identical to the
         scalar decision at ``seeds[i]`` over the shared plan.
         """
-        kernel = LocalVerdictKernel(
-            distribution=distribution,
-            members=self.members,
-            m=self.params.m,
-            total_samples=self.layout.k,
-            is_uniform=True,
-        )
-        drawn = np.stack(
-            [
-                distribution.sample_uniform(self.layout.k, ensure_rng(seed))
-                for seed in seeds
-            ]
-        )
-        return [bool(a) for a in kernel.accepts_uniform(drawn)]
+        drawn = seed_drivers(distribution, self.layout.k, seeds)
+        collided = grouped_collision(drawn, self.members, distribution)
+        return [bool(a) for a in and_rule_accepts(collided, self.params.m)]
 
     # -- trial-engine APIs ---------------------------------------------
 

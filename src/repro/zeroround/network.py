@@ -6,7 +6,7 @@ Three ways to run a 0-round network:
    :class:`~repro.core.gap.CentralizedTester` per node, a
    :class:`~repro.zeroround.decision.DecisionRule`, one trial per call.
 2. :class:`ZeroRoundNetwork.run_many` — the trial-batched path: draws the
-   samples for a whole batch of network executions in one matrix call and
+   driver doubles for a whole batch of network executions in one call and
    vectorises the per-node decisions.  Homogeneous networks collapse to a
    single collision kernel; heterogeneous (Section 4 asymmetric) networks
    are grouped by tester signature.  **Bit-identical** to calling
@@ -17,6 +17,10 @@ Three ways to run a 0-round network:
    :func:`repeated_collision_reject_flags`, and the trial-batched
    :func:`threshold_verdicts` / :func:`and_rule_verdicts` — for the
    statistical benchmarks that need tens of thousands of network trials.
+
+Every fast path, here and in the CONGEST, fault and LOCAL planes, tests
+its sample groups with one kernel on the ``U[0, 1)`` driver doubles behind
+the samples, :func:`grouped_collision`.
 
 The frozen-dataclass experiment wrappers at the bottom adapt the kernels to
 the ``(rng, count) -> bool[count]`` batched-experiment interface of
@@ -136,13 +140,14 @@ class ZeroRoundNetwork:
         """Accept verdicts of *trials* independent network executions.
 
         Draws each batch of executions as a single ``(batch, total_s)``
-        sample matrix and vectorises the per-node decisions: collision and
-        AND-of-m testers go through the sort-based collision kernel, grouped
-        by tester signature so heterogeneous (Section 4) networks with many
-        distinct sample counts still take a handful of numpy passes.
-        Unknown tester types and decision rules fall back to per-trial
-        object calls on the same samples, preserving bit-for-bit equality
-        with :meth:`run`.
+        driver-double matrix and vectorises the per-node decisions:
+        collision and AND-of-m testers go through
+        :func:`grouped_collision`, grouped by tester signature so
+        heterogeneous (Section 4) networks with many distinct sample counts
+        still take a handful of numpy passes.  Unknown tester types and
+        decision rules fall back to per-trial object calls on the same
+        samples (quantile-mapped), preserving bit-for-bit equality with
+        :meth:`run`.
 
         Returns
         -------
@@ -160,22 +165,20 @@ class ZeroRoundNetwork:
         pos = 0
         while pos < trials:
             m = min(batch, trials - pos)
-            matrix = distribution.sample(m * total_s, gen).reshape(m, total_s)
+            u = distribution.sample_uniform(m * total_s, gen).reshape(m, total_s)
             accepts = np.ones((m, self.k), dtype=bool)
-            for s, reps, nodes in groups:
-                cols = np.concatenate(
-                    [np.arange(offsets[i], offsets[i] + reps * s) for i in nodes]
-                )
-                sub = matrix[:, cols].reshape(m, len(nodes), reps, s)
-                collide = _last_axis_has_collision(sub)
+            for reps, nodes, members in groups:
+                collide = grouped_collision(u, members, distribution)
                 # AND-of-m: a node rejects iff every repetition collided.
-                accepts[:, nodes] = ~collide.all(axis=2)
+                accepts[:, nodes] = ~collide.reshape(m, len(nodes), reps).all(axis=2)
             for i in generic:
                 tester = self.testers[i]
                 lo = offsets[i]
-                hi = lo + tester.samples_required
+                samples = distribution.index_quantiles(
+                    u[:, lo : lo + tester.samples_required]
+                )
                 for t in range(m):
-                    accepts[t, i] = tester.decide(matrix[t, lo:hi])
+                    accepts[t, i] = tester.decide(samples[t])
             verdicts[pos : pos + m] = self._rule_verdicts(accepts)
             pos += m
         return verdicts
@@ -184,10 +187,12 @@ class ZeroRoundNetwork:
         """Group nodes by vectorisable tester signature.
 
         Returns ``(groups, generic, offsets)`` where each group is
-        ``(s, reps, node_index_array)`` — a plain collision tester is the
-        ``reps = 1`` case of AND-of-m — ``generic`` lists nodes whose tester
-        type has no kernel, and ``offsets[i]`` is node *i*'s first column in
-        the per-trial sample matrix.
+        ``(reps, node_indices, members)`` — a plain collision tester is
+        the ``reps = 1`` case of AND-of-m, and ``members`` lists each
+        node's repetitions' ``s`` columns, node by node, as
+        :func:`grouped_collision` groups — ``generic`` lists nodes whose
+        tester type has no kernel, and ``offsets[i]`` is node *i*'s first
+        column in the per-trial sample matrix.
         """
         offsets = np.zeros(self.k, dtype=np.int64)
         by_signature = {}
@@ -207,7 +212,7 @@ class ZeroRoundNetwork:
             else:
                 generic.append(i)
         groups = [
-            (s, reps, np.asarray(nodes, dtype=np.int64))
+            (reps, nodes, (offsets[nodes, None] + np.arange(reps * s)).reshape(-1, s))
             for (s, reps), nodes in by_signature.items()
         ]
         return groups, generic, offsets
@@ -238,16 +243,6 @@ class ZeroRoundNetwork:
 # ---------------------------------------------------------------------------
 
 
-def _rows_have_collision(matrix: np.ndarray) -> np.ndarray:
-    """Boolean per-row flag: does the row contain a repeated value?
-
-    Sort-based: ``O(rows · s log s)`` and fully vectorised.
-    """
-    if matrix.ndim != 2:
-        raise ParameterError(f"expected a 2-D sample matrix, got shape {matrix.shape}")
-    return _last_axis_has_collision(matrix)
-
-
 def _last_axis_has_collision(tensor: np.ndarray) -> np.ndarray:
     """Collision flag along the last axis of an n-D sample tensor."""
     if tensor.shape[-1] < 2:
@@ -264,21 +259,81 @@ def grouped_collision_flags(samples: np.ndarray, members: np.ndarray) -> np.ndar
     indices into the last axis; the result has shape ``(..., groups)``
     with ``True`` where a group's gathered values contain a repeat.
 
-    This is the gather-then-sort generalisation of the contiguous-slice
-    kernels above: the CONGEST trial plane uses it with ``members`` =
-    a :class:`~repro.congest.trial_plane.PackagingLayout`'s per-package
-    token-slot lists, which need not be contiguous in sample order.
+    The integer-sample form behind the planes' ``accepts(samples)`` APIs;
+    their own draws go through :func:`grouped_collision`.  ``members`` is
+    e.g. a :class:`~repro.congest.trial_plane.PackagingLayout`'s
+    per-package token-slot lists, not contiguous in sample order.
     """
+    members = _check_members(members)
+    samples = np.asarray(samples)
+    if members.size == 0:
+        return np.zeros(samples.shape[:-1] + (members.shape[0],), dtype=bool)
+    return _last_axis_has_collision(samples[..., members])
+
+
+def grouped_collision(
+    u: np.ndarray, members: np.ndarray, distribution: DiscreteDistribution
+) -> np.ndarray:
+    """:func:`grouped_collision_flags` straight from driver doubles.
+
+    ``u`` holds the ``U[0, 1)`` draws behind a sample batch, shape
+    ``(..., total)``; the result equals
+    ``grouped_collision_flags(distribution.index_quantiles(u), members)``
+    exactly, without mapping every draw to its outcome.  Two draws map to
+    the same outcome only if no CDF boundary separates them, so only if
+    their (rounded) difference is at most ``distribution.max_bin_width()``.
+    Each group's draws are sorted as raw IEEE bit patterns (non-negative
+    doubles order like their values), sorted-adjacent pairs further apart
+    are discarded wholesale, and only the few survivors pay an exact
+    ``index_quantiles`` lookup.
+    """
+    members = _check_members(members)
+    u = np.asarray(u, dtype=np.float64)
+    size = members.shape[1]
+    flags = np.zeros(u.shape[:-1] + (members.shape[0],), dtype=bool)
+    if size < 2 or flags.size == 0:
+        return flags
+    ordered = np.take(u, members, axis=-1)
+    ordered.view(np.uint64).sort(axis=-1)
+    close = np.flatnonzero(
+        np.diff(ordered, axis=-1) <= distribution.max_bin_width()
+    )
+    if close.size:
+        group, offset = np.divmod(close, size - 1)
+        runs = ordered.reshape(-1, size)
+        same = distribution.index_quantiles(
+            runs[group, offset]
+        ) == distribution.index_quantiles(runs[group, offset + 1])
+        flags.reshape(-1)[group[same]] = True
+    return flags
+
+
+def seed_drivers(
+    distribution: DiscreteDistribution, size: int, seeds: Sequence[SeedLike]
+) -> np.ndarray:
+    """One row of ``size`` driver doubles per seed: the draws behind
+    ``distribution.sample(size, ensure_rng(seed))``, seed by seed."""
+    return np.stack(
+        [distribution.sample_uniform(size, ensure_rng(seed)) for seed in seeds]
+    )
+
+
+def _check_members(members: np.ndarray) -> np.ndarray:
     members = np.asarray(members)
     if members.ndim != 2:
         raise ParameterError(
             f"members must be a (groups, size) index array, got shape "
             f"{members.shape}"
         )
-    samples = np.asarray(samples)
-    if members.size == 0:
-        return np.zeros(samples.shape[:-1] + (members.shape[0],), dtype=bool)
-    return _last_axis_has_collision(samples[..., members])
+    return members
+
+
+def _row_collisions(
+    distribution: DiscreteDistribution, rows: int, s: int, rng: SeedLike
+) -> np.ndarray:
+    """Collision flags of the rows of ``sample_matrix(rows, s, rng)``."""
+    u = distribution.sample_uniform_matrix(rows, s, rng)
+    return grouped_collision(u, np.arange(s)[None, :], distribution)[:, 0]
 
 
 def collision_reject_flags(
@@ -295,8 +350,7 @@ def collision_reject_flags(
     """
     if k < 1 or s < 1:
         raise ParameterError(f"need k >= 1 and s >= 1, got {(k, s)}")
-    samples = distribution.sample_matrix(k, s, rng)
-    return _rows_have_collision(samples)
+    return _row_collisions(distribution, k, s, rng)
 
 
 def repeated_collision_reject_flags(
@@ -313,9 +367,7 @@ def repeated_collision_reject_flags(
     """
     if k < 1 or m < 1 or s < 1:
         raise ParameterError(f"need k, m, s >= 1, got {(k, m, s)}")
-    samples = distribution.sample_matrix(k * m, s, rng)
-    per_batch = _rows_have_collision(samples).reshape(k, m)
-    return per_batch.all(axis=1)
+    return _row_collisions(distribution, k * m, s, rng).reshape(k, m).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +385,8 @@ def threshold_verdicts(
 ) -> np.ndarray:
     """Accept verdicts of *trials* Theorem 1.2 network executions.
 
-    One ``(trials·k, s)`` sample matrix, one collision pass, one alarm
-    count per trial.  Bit-identical to *trials* sequential
+    One ``(trials·k, s)`` driver-draw matrix, one collision pass, one
+    alarm count per trial.  Bit-identical to *trials* sequential
     :func:`collision_reject_flags` calls on the same generator.
     """
     if trials < 1:
@@ -343,8 +395,8 @@ def threshold_verdicts(
         raise ParameterError(f"need k >= 1 and s >= 1, got {(k, s)}")
     if not 1 <= threshold <= k:
         raise ParameterError(f"threshold must be in [1, {k}], got {threshold}")
-    samples = distribution.sample_matrix(trials * k, s, rng)
-    alarms = _rows_have_collision(samples).reshape(trials, k).sum(axis=1)
+    alarms = _row_collisions(distribution, trials * k, s, rng)
+    alarms = alarms.reshape(trials, k).sum(axis=1)
     return alarms < threshold
 
 
@@ -366,16 +418,23 @@ def and_rule_verdicts(
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if k < 1 or m < 1 or s < 1:
         raise ParameterError(f"need k, m, s >= 1, got {(k, m, s)}")
-    samples = distribution.sample_matrix(trials * k * m, s, rng)
-    per_batch = _rows_have_collision(samples).reshape(trials, k, m)
-    node_rejects = per_batch.all(axis=2)
-    return ~node_rejects.any(axis=1)
+    per_batch = _row_collisions(distribution, trials * k * m, s, rng)
+    return and_rule_accepts(per_batch.reshape(trials, k * m), m)
 
 
-#: Element-count cap for one trial-batched sample matrix (~128 MiB of
-#: int64).  Batched experiments built on the kernels auto-size ``batch``
-#: so ``batch · k · m · s`` stays below this.
-MATRIX_ELEMENT_CAP = 1 << 24
+def and_rule_accepts(collided: np.ndarray, m: int) -> np.ndarray:
+    """Theorem 1.1 network verdicts from ``(trials, nodes·m)`` repetition
+    collision flags: a node rejects iff all its ``m`` repetitions
+    collided, the network iff any node rejects."""
+    rejects = collided.reshape(collided.shape[0], -1, m).all(axis=2)
+    return ~rejects.any(axis=1)
+
+
+#: Element-count cap for one trial-batched draw (8 MiB of driver doubles;
+#: the collision kernel holds about three more arrays of that size).
+#: Batched experiments built on the kernels auto-size ``batch`` so
+#: ``batch · k · m · s`` stays below this.
+MATRIX_ELEMENT_CAP = 1 << 20
 
 
 def auto_batch(elements_per_trial: int, cap: int = MATRIX_ELEMENT_CAP) -> int:

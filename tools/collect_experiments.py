@@ -182,7 +182,9 @@ SECTIONS = [
         "fault plane (`repro.congest.fault_plane`): every per-trial-keyed "
         "plan's flooding, retry ladders, token transfer, give-up "
         "accounting, and verdict broadcast are re-derived as array ops "
-        "over the plan batch, with no engine runs.  A fifth of each "
+        "over the plan batch, with no engine runs.  Each trial seed's "
+        "driver doubles are drawn once and scored at every grid point with "
+        "the shared collision kernel (see E15).  A fifth of each "
         "point's trials still runs through the engine, which cross-checks "
         "verdict, agreement, shortfall, missing-subtree and unheard "
         "counters bit for bit (any divergence raises `SimulationError`) "
@@ -216,8 +218,12 @@ SECTIONS = [
         "(`PackagingLayout`, cross-checked against a real engine run; or "
         "`RealisedLayout` from one instrumented faulty run for the "
         "hardened tester under a fixed `FaultPlan` — pack-then-replay) "
-        "and then computes whole trial batches as one gather + one "
-        "sort-and-diff collision pass + one threshold comparison.  "
+        "and then computes whole trial batches as one driver-double draw "
+        "(`sample_uniform`, the doubles `Generator.choice` would turn "
+        "into samples) + one pass of the shared collision kernel "
+        "`repro.zeroround.network.grouped_collision` (gather, bit-pattern "
+        "sort, max-bin-width gap filter, exact `index_quantiles` lookups "
+        "for the few surviving pairs) + one threshold comparison.  "
         "Verdicts are bit-identical per seed to the engine path (the "
         "same sample stream is consumed; `engine_check` re-runs a trial "
         "prefix through the engine and raises on any disagreement), and "
@@ -256,9 +262,12 @@ SECTIONS = [
         "consume (keeping the stream bit-identical to the scalar "
         "tester's), gathers the slots the MIS nodes actually read, and "
         "detects collisions with a bit-pattern sort plus a max-bin-width "
-        "gap filter — only sorted-adjacent pairs closer than the widest "
-        "CDF step can collide, and just those rare survivors get exact "
-        "`index_quantiles` lookups.  Verdicts are bit-identical per seed "
+        "gap filter — only sorted-adjacent pairs at most the widest "
+        "CDF step apart can collide, and just those rare survivors get "
+        "exact `index_quantiles` lookups.  That kernel, "
+        "`repro.zeroround.network.grouped_collision`, now serves every "
+        "plane (E15's trial plane, the E14 fault plane and the "
+        "zero-round kernels too).  Verdicts are bit-identical per seed "
         "to `test_with_plan`; `estimate_error(..., fast_path=True, "
         "engine_check=f)` re-runs a prefix through the scalar route and "
         "re-verifies the layout, raising `SimulationError` on any "
