@@ -17,15 +17,15 @@ Two layers:
   :class:`~repro.simulator.faults.FaultPlan` injection.
 - :mod:`repro.congest.trial_plane` — the vectorised Monte-Carlo fast
   path: extract the sample-value-independent packaging layout once
-  (:class:`~repro.congest.trial_plane.PackagingLayout`, or
-  :class:`~repro.congest.trial_plane.RealisedLayout` via pack-then-replay
-  under a fixed fault plan), then batch whole trial matrices through
-  numpy collision kernels, bit-identical per seed to the engine path.
-- :mod:`repro.congest.fault_plane` — the same idea for
-  **per-trial-keyed** fault plans (one :class:`FaultPlan` per trial, as
-  in robustness sweeps): replay the hardened protocol's control flow —
-  flooding, retry ladders, token transfer, give-ups — as array ops over
-  the whole plan batch, no engine runs at all.
+  (:class:`~repro.congest.trial_plane.PackagingLayout`), then batch
+  whole trial matrices through numpy collision kernels, bit-identical
+  per seed to the engine path.
+- :mod:`repro.congest.fault_plane` — the one hardened replay: the
+  hardened protocol's control flow — flooding, retry ladders, token
+  transfer, give-ups — as array ops over a batch of fault plans,
+  no engine runs at all.  Robustness sweeps replay one plan per trial;
+  a fixed plan (``HardenedCongestTester.estimate_error``) is a one-plan
+  replay whose counted packages feed the trial plane's kernel.
 """
 
 from repro.congest.token_packaging import (
@@ -63,10 +63,8 @@ from repro.congest.fault_plane import (
 from repro.congest.trial_plane import (
     CongestTrialRunner,
     CongestVerdictKernel,
-    HardenedTrialRunner,
     LayoutCheck,
     PackagingLayout,
-    RealisedLayout,
 )
 
 __all__ = [
@@ -92,10 +90,8 @@ __all__ = [
     "congest_parameters",
     "CongestTrialRunner",
     "CongestVerdictKernel",
-    "HardenedTrialRunner",
     "LayoutCheck",
     "PackagingLayout",
-    "RealisedLayout",
     "FaultPlaneScore",
     "HardenedFaultPlane",
     "ReplayedTrials",

@@ -1,13 +1,14 @@
-"""The CONGEST fault plane: batched replay of per-trial-keyed fault sweeps.
+"""The CONGEST fault plane: the one engine-free hardened replay.
 
-PR 4's trial plane (:mod:`repro.congest.trial_plane`) removed the engine
-from fault-free trials and from hardened trials under one *fixed*
-:class:`~repro.simulator.faults.FaultPlan`.  The remaining engine-bound
-hot path was the E14 robustness grid, which keys a fresh plan to every
-trial — a different realised layout per trial, so no single probe run
-can be replayed.  This module replays *batches* of hardened trials, one
-plan per trial, entirely as array operations over a ``(trials, nodes)``
-state machine:
+The trial plane (:mod:`repro.congest.trial_plane`) removes the engine
+from fault-free trials.  Hardened trials realise a layout that depends
+on the :class:`~repro.simulator.faults.FaultPlan`: the E14 robustness
+grid keys a fresh plan to every trial, and
+``HardenedCongestTester.estimate_error`` holds one plan fixed across
+its trials (a one-plan batch here, whose root fragment is then scored
+by the trial plane's kernel).  This module replays *batches* of
+hardened trials, one plan per trial, entirely as array operations over
+a ``(trials, nodes)`` state machine:
 
 1. the fault RNG is evaluated in bulk (:func:`~repro.simulator.faults.
    uniform_array` — the vectorized SplitMix64 kernel, bit-identical per

@@ -607,15 +607,6 @@ class HardenedCongestTesterProgram(HardenedTokenPackagingProgram):
         self.params = params
         self.my_alarms = 0
         self.my_packages = 0
-        # Realised-layout instrumentation, read by the trial plane's
-        # pack-then-replay extraction (which captures the program objects,
-        # so these survive even for nodes that crash before halting):
-        # the literal token tuples packaged here, and the children whose
-        # votes were folded into ours at vote time (entries arriving
-        # after the fold are acked but never counted — reconstructing
-        # this from the final ``votes_received`` would over-count).
-        self.package_contents: Tuple[Tuple[int, ...], ...] = ()
-        self.vote_included: Tuple[int, ...] = ()
         self.shortfall = 0
         self.votes_received: Dict[int, Tuple[int, int]] = {}
         self.vote_sent = False
@@ -660,7 +651,6 @@ class HardenedCongestTesterProgram(HardenedTokenPackagingProgram):
 
     def _on_packaged(self, ctx, packages, leftover, shortfall) -> None:
         self.my_packages = len(packages)
-        self.package_contents = packages
         self.shortfall = shortfall
         for package in packages:
             if len(set(package)) < len(package):
@@ -699,7 +689,6 @@ class HardenedCongestTesterProgram(HardenedTokenPackagingProgram):
             waiting = self.children - set(self.votes_received)
             if not waiting or r >= s.vote_last_call:
                 self.missing_vote_children = tuple(sorted(waiting))
-                self.vote_included = tuple(sorted(self.votes_received))
                 self.vote_alarms = self.my_alarms + sum(
                     a for a, _ in self.votes_received.values()
                 )
@@ -862,7 +851,6 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
         faults: Optional[FaultPlan] = None,
         d_hint: Optional[int] = None,
         rng: SeedLike = None,
-        _capture_programs: Optional[List[Any]] = None,
     ) -> HardenedRunResult:
         """Execute the hardened protocol on a fixed ``(k, s)`` sample matrix.
 
@@ -871,10 +859,6 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
         decisions from pure hashes of ``(seed, edge, round, index)``, so
         for fixed samples and plan the run — including the realised
         message schedule and packaging layout — is bit-reproducible.
-        ``_capture_programs`` (internal; used by the trial plane's
-        pack-then-replay extraction) collects the per-node program
-        objects so instrumented layout state is readable even for nodes
-        that crashed before producing an outcome.
         """
         samples = np.asarray(samples)
         s = self.params.samples_per_node
@@ -899,8 +883,8 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
             phase_names=("flood", "claim_count", "tokens", "vote_decide"),
         )
 
-        def factory(v: int) -> HardenedCongestTesterProgram:
-            program = HardenedCongestTesterProgram(
+        report = engine.run(
+            lambda v: HardenedCongestTesterProgram(
                 node_id=v,
                 k=topology.k,
                 params=self.params,
@@ -908,12 +892,9 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
                 token_bits=token_bits,
                 schedule=schedule,
                 policy=self.policy,
-            )
-            if _capture_programs is not None:
-                _capture_programs.append(program)
-            return program
-
-        report = engine.run(factory, rng)
+            ),
+            rng,
+        )
         outcomes: Tuple[Optional[HardenedTesterOutcome], ...] = tuple(
             report.outputs
         )
@@ -952,47 +933,36 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
         an error on either side).  ``rng`` must be seed-like (``None`` or
         int); trials draw from the trial engine's chunk-keyed streams.
 
-        ``fast_path`` (default on) uses pack-then-replay: because the
-        plan's fault decisions are pure functions of ``(seed, edge,
-        round, index)`` — never of message payloads — the realised
-        packaging layout and the set of subtree votes the root counts
-        are identical across sample redraws.  One instrumented engine
-        run under the plan extracts that layout
-        (:class:`~repro.congest.trial_plane.RealisedLayout`); every trial
-        then reduces to a numpy collision pass over its sample matrix,
+        ``fast_path`` (default on) replays the plan once on the fault
+        plane (:func:`~repro.congest.fault_plane.replay_hardened_trials`
+        with a one-plan batch).  The plan's fault decisions are pure
+        functions of ``(seed, edge, round, index)`` — never of message
+        payloads — so the packages the elected root counts are the same
+        for every sample redraw, and each trial reduces to one collision
+        pass over that fixed set
+        (:class:`~repro.congest.trial_plane.CongestVerdictKernel`),
         bit-identical per trial to the engine route.  ``engine_check``
         re-runs that fraction of the trials (at least one, a prefix of
         the same stream) through the full engine and raises on any
         verdict mismatch.
 
-        This replay is only sound for a plan that is fixed across
-        trials.  Sweeps that re-key the plan per trial (e.g. E14's
-        ``robustness_sweep``) go through the vectorized fault plane
-        instead (:class:`~repro.congest.fault_plane.HardenedFaultPlane`),
-        which replays one trial per plan — hardened control flow and
-        all — without instantiating nodes.
+        The fast path inherits the fault plane's validity contract: a
+        plan with a :class:`~repro.simulator.faults.DelayDistribution`,
+        or with a crash inside the vote/decide windows, raises
+        :class:`~repro.exceptions.ParameterError`; run such plans with
+        ``fast_path=False``.
         """
         if not (rng is None or isinstance(rng, (int, np.integer))):
             raise ParameterError(
                 "estimate_error needs a seed-like rng (None or int), got "
                 f"{type(rng).__name__}"
             )
-        base_seed = 0 if rng is None else int(rng)
-        if fast_path:
-            from repro.congest.trial_plane import HardenedTrialRunner
-
-            runner = HardenedTrialRunner.build(
-                self, topology, faults=faults, d_hint=d_hint
-            )
-            return runner.error_rate(
-                distribution,
-                is_uniform,
-                trials,
-                base_seed=base_seed,
-                engine_check=engine_check,
-            )
+        from repro.congest.fault_plane import replay_hardened_trials
+        from repro.congest.trial_plane import CongestVerdictKernel
         from repro.experiments.runner import TrialRunner
+        from repro.zeroround.network import auto_batch
 
+        runner = TrialRunner(base_seed=0 if rng is None else int(rng))
         experiment = _HardenedTrialExperiment(
             tester=self,
             topology=topology,
@@ -1001,10 +971,39 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
             faults=faults,
             d_hint=d_hint,
         )
-        est = TrialRunner(base_seed=base_seed).error_rate(
-            experiment, trials, "hardened", topology.k
+        if not fast_path:
+            return runner.error_rate(
+                experiment, trials, "hardened", topology.k
+            ).rate
+        replayed = replay_hardened_trials(
+            self,
+            topology,
+            [faults if faults is not None else FaultPlan.none()],
+            d_hint,
         )
-        return est.rate
+        root = topology.k - 1
+        threshold = int(replayed.threshold[0, root])
+        kernel = CongestVerdictKernel(
+            distribution=distribution,
+            members=replayed.members[replayed.pkg_root == root],
+            threshold=None if threshold < 0 else threshold,
+            total_tokens=replayed.total_tokens,
+            is_uniform=is_uniform,
+            hardened=True,
+            root_alive=bool(replayed.root_alive[0]),
+        )
+        flags = runner.run_audited(
+            kernel,
+            lambda: experiment,
+            trials,
+            "hardened",
+            topology.k,
+            batch=auto_batch(replayed.total_tokens),
+            engine_check=engine_check,
+            span="trial_plane.engine_check",
+            hardened=True,
+        )
+        return float(flags.sum()) / trials
 
 
 @dataclass(frozen=True)

@@ -18,27 +18,24 @@ trials, and a trial's verdict reduces to
 3. compare the alarm count against the Theorem 1.2 threshold for the
    realised package count ``ℓ`` (a constant).
 
-Three layout sources — division of labour:
+Two layout sources — division of labour:
 
 - :class:`PackagingLayout` — computed directly from the cached
   :class:`~repro.simulator.graph.TreeSchedule` by simulating the TOKENS
   phase on slot IDs (``O(k·τ)`` once per topology, no engine).
   :meth:`PackagingLayout.verify_layout` cross-checks it against a real
   cold engine run.  Valid for the fault-free plain tester, warm or cold.
-- :class:`RealisedLayout` — **pack-then-replay** for the hardened tester
-  under a fixed :class:`~repro.simulator.faults.FaultPlan`: the plan's
-  drop/delay/crash decisions are pure hashes of ``(seed, edge, round,
-  index)``, never of payloads, so the faulty run's realised layout *and*
-  the set of subtree votes the root counts are identical across sample
-  redraws.  One instrumented engine run extracts them; every further
-  trial is a numpy pass.
-- :class:`~repro.congest.fault_plane.HardenedFaultPlane` — batched
-  replay for **per-trial-keyed** plans (one distinct
-  :class:`~repro.simulator.faults.FaultPlan` per trial, as in the E14
-  robustness sweep), where every trial realises a different layout and
-  pack-then-replay would need one engine run each.  It re-derives the
-  layouts themselves — flooding, retries, token transfer, give-ups — as
-  array ops over the whole plan batch, no engine runs at all.
+- :func:`~repro.congest.fault_plane.replay_hardened_trials` — the one
+  hardened replay.  It re-derives the hardened protocol's layouts —
+  flooding, retries, token transfer, give-ups — as array ops over a
+  batch of :class:`~repro.simulator.faults.FaultPlan` objects, no engine
+  runs at all.  Per-trial-keyed sweeps (one plan per trial, as in the
+  E14 robustness grid) replay the whole batch; a fixed plan
+  (:meth:`~repro.congest.hardened.HardenedCongestTester.estimate_error`)
+  is a one-plan replay whose root fragment feeds
+  :class:`CongestVerdictKernel`, because the plan's decisions are pure
+  hashes of ``(seed, edge, round, index)``, never of payloads, so the
+  set of packages the root counts is the same for every sample redraw.
 
 Bit-identity contract: the batched kernel consumes the trial engine's
 chunk-keyed streams exactly like the scalar engine experiments (one
@@ -60,25 +57,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.congest.hardened import (
-    HardenedCongestTester,
-    HardenedRunResult,
-    _HardenedTrialExperiment,
-)
 from repro.congest.tester import (
     CongestUniformityTester,
     _CongestTrialExperiment,
 )
 from repro.congest.token_packaging import TokenPackagingProgram
 from repro.distributions.base import DiscreteDistribution
-from repro.exceptions import (
-    InfeasibleParametersError,
-    ParameterError,
-    SimulationError,
-)
+from repro.exceptions import ParameterError, SimulationError
 from repro.experiments.runner import TrialRunner
 from repro.simulator.engine import SynchronousEngine
-from repro.simulator.faults import FaultPlan
 from repro.simulator.graph import Topology, TreeSchedule
 from repro.simulator.message import bits_for_int
 from repro.zeroround.network import (
@@ -302,10 +289,11 @@ class CongestVerdictKernel:
     ``sample_matrix(k, s)`` draws, as driver doubles, so it is
     bit-identical to the scalar engine experiment on the same chunk
     stream.  Serves the fault-free tester over a :class:`PackagingLayout`
-    and the hardened one (``hardened=True``) over a
-    :class:`RealisedLayout`, where ``root_alive=False`` (the fixed plan
-    crashes the elected root) makes every verdict ``None`` — an error on
-    either side — while the stream is still consumed.
+    and the hardened one (``hardened=True``) over the packages a
+    one-plan fault-plane replay counts at the root, where
+    ``root_alive=False`` (the fixed plan crashes the elected root) makes
+    every verdict ``None`` — an error on either side — while the stream
+    is still consumed.
     """
 
     distribution: DiscreteDistribution
@@ -437,242 +425,6 @@ class CongestTrialRunner:
             batch=auto_batch(self.layout.total_tokens),
             engine_check=engine_check,
             span="trial_plane.engine_check",
-        )
-
-    def error_rate(
-        self,
-        distribution: DiscreteDistribution,
-        is_uniform: bool,
-        trials: int,
-        base_seed: int = 0,
-        engine_check: float = 0.0,
-    ) -> float:
-        """Monte-Carlo error rate over :meth:`run_flags`."""
-        flags = self.run_flags(
-            distribution,
-            is_uniform,
-            trials,
-            base_seed=base_seed,
-            engine_check=engine_check,
-        )
-        return float(flags.sum()) / trials
-
-
-# ---------------------------------------------------------------------------
-# Pack-then-replay for the hardened tester under a fixed fault plan
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class RealisedLayout:
-    """The packaging layout one (possibly faulty) hardened run realised,
-    restricted to the packages the root's verdict actually counted.
-
-    Extracted by :meth:`from_engine` from a single instrumented engine
-    run with slot-ID tokens: ``members[p]`` lists the slots of the
-    ``p``-th counted package, ``counted_nodes`` the nodes whose vote
-    reached the root (the ``vote_included`` closure from node ``k−1``),
-    and ``root_alive`` whether the elected root survived to decide.
-    Valid for replay across sample redraws because the fault plan's
-    decisions and the protocol's control flow are payload-independent.
-    """
-
-    k: int
-    tau: int
-    tokens_per_node: int
-    members: np.ndarray
-    counted_nodes: Tuple[int, ...]
-    root_alive: bool
-    probe: HardenedRunResult
-
-    @property
-    def counted_packages(self) -> int:
-        """The package count ``ℓ`` the root thresholds against."""
-        return int(self.members.shape[0])
-
-    @property
-    def total_tokens(self) -> int:
-        return self.k * self.tokens_per_node
-
-    @staticmethod
-    def from_engine(
-        tester: HardenedCongestTester,
-        topology: Topology,
-        faults: Optional[FaultPlan] = None,
-        d_hint: Optional[int] = None,
-    ) -> "RealisedLayout":
-        """One instrumented engine run under ``faults`` → realised layout.
-
-        The probe run uses slot IDs as tokens (same declared token bits
-        as a real run, so frames, bandwidth and fault decisions are
-        identical) and captures the program objects, then walks the
-        ``vote_included`` tree from the root: a node's packages are
-        counted iff every link of its vote path reached the root in
-        time.  Cross-checks the closure against the root's own
-        ``vote_packages``/``vote_alarms`` totals and raises on mismatch.
-        """
-        plan = faults if faults is not None else FaultPlan.none()
-        k = topology.k
-        s = tester.params.samples_per_node
-        slots = np.arange(k * s, dtype=np.int64).reshape(k, s)
-        programs: List = []
-        probe = tester.run_from_samples(
-            topology,
-            slots,
-            faults=plan,
-            d_hint=d_hint,
-            _capture_programs=programs,
-        )
-        root = k - 1
-        root_alive = probe.outcomes[root] is not None
-        member_rows: List[Tuple[int, ...]] = []
-        counted: List[int] = []
-        if root_alive:
-            seen = {root}
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                counted.append(v)
-                member_rows.extend(programs[v].package_contents)
-                for child in programs[v].vote_included:
-                    if child not in seen:
-                        seen.add(child)
-                        stack.append(child)
-            root_program = programs[root]
-            if len(member_rows) != root_program.vote_packages:
-                raise SimulationError(
-                    f"realised-layout closure found {len(member_rows)} "
-                    f"packages but the root counted "
-                    f"{root_program.vote_packages} — extraction and "
-                    f"protocol disagree"
-                )
-            if root_program.vote_alarms != 0:
-                # Slot IDs are all distinct, so any alarm in the probe
-                # run means tokens were duplicated somewhere.
-                raise SimulationError(
-                    f"probe run raised {root_program.vote_alarms} alarms "
-                    f"on distinct slot tokens — duplicated tokens"
-                )
-        members = np.asarray(member_rows, dtype=np.int64).reshape(
-            len(member_rows), tester.params.tau
-        )
-        members.setflags(write=False)
-        return RealisedLayout(
-            k=k,
-            tau=tester.params.tau,
-            tokens_per_node=s,
-            members=members,
-            counted_nodes=tuple(sorted(counted)),
-            root_alive=root_alive,
-            probe=probe,
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class HardenedTrialRunner:
-    """Pack-then-replay Monte-Carlo trials for the hardened tester.
-
-    One probe run under the fixed plan fixes the counted layout; trial
-    verdicts then replay it over fresh samples.  ``threshold=None``
-    (with a live root) means the root rejects every trial — zero counted
-    packages, or no separating threshold at the realised ``ℓ``.
-    """
-
-    tester: HardenedCongestTester
-    topology: Topology
-    faults: FaultPlan
-    layout: RealisedLayout
-    threshold: Optional[int]
-    d_hint: Optional[int] = None
-
-    @staticmethod
-    def build(
-        tester: HardenedCongestTester,
-        topology: Topology,
-        faults: Optional[FaultPlan] = None,
-        d_hint: Optional[int] = None,
-    ) -> "HardenedTrialRunner":
-        """Probe the plan once and place the verdict threshold."""
-        if topology.k != tester.params.k:
-            raise ParameterError(
-                f"tester solved for k={tester.params.k}, topology has "
-                f"{topology.k}"
-            )
-        plan = faults if faults is not None else FaultPlan.none()
-        layout = RealisedLayout.from_engine(
-            tester, topology, faults=plan, d_hint=d_hint
-        )
-        threshold: Optional[int] = None
-        if layout.root_alive and layout.counted_packages > 0:
-            try:
-                threshold = tester.params.threshold_for(
-                    layout.counted_packages
-                )
-            except InfeasibleParametersError:
-                threshold = None  # root rejects and flags infeasibility
-        return HardenedTrialRunner(
-            tester=tester,
-            topology=topology,
-            faults=plan,
-            layout=layout,
-            threshold=threshold,
-            d_hint=d_hint,
-        )
-
-    # -- per-seed API (used by the E14 sweep) ---------------------------
-
-    def verdicts_for_seeds(
-        self, distribution: DiscreteDistribution, seeds: Sequence[int]
-    ) -> List[Optional[bool]]:
-        """Per-seed verdicts matching ``tester.run(..., rng=seed,
-        faults=plan).verdict`` (``None`` when the root crashed)."""
-        u = seed_drivers(distribution, self.layout.total_tokens, seeds)
-        if not self.layout.root_alive:
-            return [None] * len(seeds)
-        flags = grouped_collision(u, self.layout.members, distribution)
-        accepted = _root_accepts(flags, self.threshold, hardened=True)
-        return [bool(a) for a in accepted]
-
-    # -- trial-engine APIs ---------------------------------------------
-
-    def run_flags(
-        self,
-        distribution: DiscreteDistribution,
-        is_uniform: bool,
-        trials: int,
-        base_seed: int = 0,
-        engine_check: float = 0.0,
-    ) -> np.ndarray:
-        """Per-trial error flags, bit-identical to the engine route
-        (labels ``("hardened", k)``); see
-        :meth:`CongestTrialRunner.run_flags` for the ``engine_check``
-        contract."""
-        kernel = CongestVerdictKernel(
-            distribution=distribution,
-            members=self.layout.members,
-            threshold=self.threshold,
-            total_tokens=self.layout.total_tokens,
-            is_uniform=is_uniform,
-            hardened=True,
-            root_alive=self.layout.root_alive,
-        )
-        return TrialRunner(base_seed=base_seed).run_audited(
-            kernel,
-            lambda: _HardenedTrialExperiment(
-                tester=self.tester,
-                topology=self.topology,
-                distribution=distribution,
-                is_uniform=is_uniform,
-                faults=self.faults,
-                d_hint=self.d_hint,
-            ),
-            trials,
-            "hardened",
-            self.topology.k,
-            batch=auto_batch(self.layout.total_tokens),
-            engine_check=engine_check,
-            span="trial_plane.engine_check",
-            hardened=True,
         )
 
     def error_rate(

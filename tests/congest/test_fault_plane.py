@@ -5,7 +5,9 @@ replayable batch of per-trial-keyed :class:`FaultPlan`\\ s, the
 vectorized replay reproduces ``tester.run(topology, dist, rng=seed,
 faults=plan)`` exactly — verdict, agreement, and the give-up counters
 (``shortfall`` / ``missing_subtrees`` / ``unheard``) — with no engine
-runs at build time.
+runs at build time.  A fixed plan under
+``HardenedCongestTester.estimate_error`` is a one-plan batch of the same
+replay (:class:`TestFixedPlan`).
 """
 
 from __future__ import annotations
@@ -13,11 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.congest.fault_plane import HardenedFaultPlane
-from repro.congest.hardened import HardenedCongestTester, PhaseSchedule
+from repro.congest.fault_plane import HardenedFaultPlane, replay_hardened_trials
+from repro.congest.hardened import (
+    HardenedCongestTester,
+    PhaseSchedule,
+    _HardenedTrialExperiment,
+)
 from repro.distributions import far_family, uniform
 from repro.exceptions import ParameterError, SimulationError
 from repro.experiments.robustness import _crash_plan, make_topology
+from repro.experiments.runner import TrialRunner
 from repro.simulator.faults import DelayDistribution, FaultPlan
 
 N, K, EPS, P, S = 200, 60, 0.9, 1.0 / 3.0, 64
@@ -146,6 +153,95 @@ class TestSweepFastPath:
         assert pt.engine_trials == 0
         assert pt.mean_rounds == 0.0 and pt.mean_drops == 0.0
         assert pt.engine_seconds < pt.fast_path_seconds
+
+
+class TestFixedPlan:
+    """``estimate_error`` under one fixed plan: a one-plan replay whose
+    root fragment feeds the trial plane's kernel, bit-identical per
+    trial to the engine route."""
+
+    @staticmethod
+    def _routes(tester, topo, dist, is_uniform, plan, trials=4):
+        """(fast rate audited on every trial, engine-route rate)."""
+        fast = tester.estimate_error(
+            topo, dist, is_uniform, trials, rng=3, faults=plan,
+            engine_check=1.0,
+        )
+        engine = tester.estimate_error(
+            topo, dist, is_uniform, trials, rng=3, faults=plan,
+            fast_path=False,
+        )
+        return fast, engine
+
+    @pytest.mark.parametrize("topo_name", ["star", "ring", "grid"])
+    @pytest.mark.parametrize("drop", [0.0, 0.02])
+    def test_fast_route_matches_engine(
+        self, tester, dist_u, dist_far, topo_name, drop
+    ):
+        topo = make_topology(topo_name, K)
+        plan = FaultPlan(seed=42, drop_prob=drop)
+        for dist, is_uniform in ((dist_u, True), (dist_far, False)):
+            fast, engine = self._routes(tester, topo, dist, is_uniform, plan)
+            assert fast == engine
+
+    def test_crashed_root_errs_on_every_trial(self, tester, dist_far):
+        """A plan that kills the elected root: no verdict, so every trial
+        errs on both routes regardless of the distribution."""
+        topo = make_topology("star", K)
+        plan = FaultPlan(seed=5, crashes={K - 1: 2})
+        assert not replay_hardened_trials(tester, topo, [plan]).root_alive[0]
+        assert tester.run(topo, dist_far, rng=BASE, faults=plan).verdict is None
+        assert self._routes(tester, topo, dist_far, False, plan) == (1.0, 1.0)
+
+    def test_crashed_leaf_shrinks_counted_packages(self, tester, dist_far):
+        """Crashing a leaf removes its tokens from the packages the root
+        counts (the root thresholds against the smaller ell), and the
+        fast route still matches the engine."""
+        topo = make_topology("star", K)
+        plan = FaultPlan(seed=3, crashes={5: 1})
+
+        def counted(p: FaultPlan) -> np.ndarray:
+            replayed = replay_hardened_trials(tester, topo, [p])
+            assert replayed.root_alive[0]
+            return replayed.members[replayed.pkg_root == K - 1]
+
+        full, crashed = counted(FaultPlan.none()), counted(plan)
+        assert (full // S == 5).any()
+        assert not (crashed // S == 5).any()
+        assert len(crashed) < len(full)
+        fast, engine = self._routes(tester, topo, dist_far, False, plan)
+        assert fast == engine
+
+    def test_unreplayable_plan_needs_engine_route(self, tester, dist_far):
+        """A delay plan or a vote-window crash is outside the replay's
+        validity contract: the default fast path raises, and
+        ``fast_path=False`` returns the engine rate."""
+        topo = make_topology("star", K)
+        sch = PhaseSchedule.build(
+            topo.diameter_upper_bound(), tester.params.tau, tester.policy
+        )
+        plans = [
+            FaultPlan(seed=1, delay=DelayDistribution(outcomes=((2, 0.5),))),
+            FaultPlan(seed=1, crashes={5: sch.tokens_end + 1}),
+        ]
+        for plan in plans:
+            with pytest.raises(ParameterError):
+                tester.estimate_error(
+                    topo, dist_far, False, 3, rng=3, faults=plan
+                )
+            expected = TrialRunner(base_seed=3).error_rate(
+                _HardenedTrialExperiment(
+                    tester=tester, topology=topo, distribution=dist_far,
+                    is_uniform=False, faults=plan,
+                ),
+                3,
+                "hardened",
+                K,
+            )
+            assert tester.estimate_error(
+                topo, dist_far, False, 3, rng=3, faults=plan,
+                fast_path=False,
+            ) == expected.rate
 
 
 class TestReplayabilityContract:

@@ -209,7 +209,6 @@ def fx() -> SimpleNamespace:
         CongestTrialRunner,
         CongestUniformityTester,
         HardenedCongestTester,
-        HardenedTrialRunner,
     )
     from repro.core import CollisionGapTester
     from repro.localmodel import LocalTrialRunner, LocalUniformityTester
@@ -241,7 +240,6 @@ def fx() -> SimpleNamespace:
         congest=congest,
         congest_plane=CongestTrialRunner.build(congest, star),
         hardened=hardened,
-        hardened_plane=HardenedTrialRunner.build(hardened, star),
         local=local,
         local_plane=LocalTrialRunner.build(local, ring, 16),
         threshold=ThresholdNetworkTester.solve(50_000, 20_000, 0.9),
@@ -299,9 +297,6 @@ _ENTRY_POINTS = {
     ),
     "HardenedCongestTester.estimate_error": lambda fx, t: (
         fx.hardened.estimate_error(fx.star, uniform(200), True, t, rng=0)
-    ),
-    "HardenedTrialRunner.run_flags": lambda fx, t: (
-        fx.hardened_plane.run_flags(uniform(200), True, t)
     ),
     "LocalUniformityTester.estimate_error": lambda fx, t: (
         fx.local.estimate_error(fx.ring, uniform(2_000), True, 16, t, rng=0)

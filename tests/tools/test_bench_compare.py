@@ -145,15 +145,17 @@ class TestCli:
     #: The one pair the CLI tests compare; every other registered pair
     #: points at a missing committed file, so its bench script never runs.
     SYNTHETIC = "trials"
+    SCHEMA = "bench_trials/v1"
 
     def _run(self, tmp_path, committed, fresh, extra=()):
         committed_path = tmp_path / "committed.json"
         fresh_path = tmp_path / "fresh.json"
-        committed_path.write_text(json.dumps(committed))
-        fresh_path.write_text(json.dumps(fresh))
+        for path, payload in ((committed_path, committed),
+                              (fresh_path, fresh)):
+            path.write_text(json.dumps({"schema": self.SCHEMA, **payload}))
         missing = tmp_path / "missing.json"
         argv = []
-        for label, _, _ in bench_compare.BENCHES:
+        for label, *_ in bench_compare.BENCHES:
             if label == self.SYNTHETIC:
                 argv += [f"--committed-{label}", str(committed_path),
                          f"--fresh-{label}", str(fresh_path)]
@@ -169,7 +171,7 @@ class TestCli:
         )
         # No bench script started: every other pair was skipped, and only
         # the synthetic pair was compared.
-        for label, _, _ in bench_compare.BENCHES:
+        for label, *_ in bench_compare.BENCHES:
             if label != self.SYNTHETIC:
                 assert f"[{label}] no committed payload" in result.stdout
         assert result.stdout.count("shared *_seconds fields") == 1
@@ -202,6 +204,34 @@ class TestCli:
             extra=("--tolerance", "1.5"),
         )
         assert result.returncode == 0, result.stdout
+
+    def test_registry_schemas_match_committed_payloads(self):
+        for label, _, committed, schema in bench_compare.BENCHES:
+            payload = json.loads((ROOT / committed).read_text())
+            assert payload["schema"] == schema, label
+
+    def test_fails_on_schema_mismatch(self, tmp_path):
+        """A trials payload passed as the fresh SMP run shares no
+        ``*_seconds`` field with BENCH_smp.json; it must fail on its
+        schema instead of passing with nothing compared."""
+        missing = tmp_path / "missing.json"
+        argv = []
+        for label, *_ in bench_compare.BENCHES:
+            if label != "smp":
+                argv += [f"--committed-{label}", str(missing),
+                         f"--fresh-{label}", str(missing)]
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "bench_compare.py"),
+             *argv, "--committed-smp", str(ROOT / "BENCH_smp.json"),
+             "--fresh-smp", str(ROOT / "BENCH_trials.json")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1, result.stdout
+        assert "[smp]" in result.stderr
+        assert "'bench_trials/v1'" in result.stderr
+        assert "'bench_smp/v1'" in result.stderr
 
 
 class TestRobustnessIngestion:

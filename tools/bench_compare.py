@@ -6,7 +6,10 @@ benchmark in :data:`BENCHES` (``BENCH_trials.json``,
 and from a freshly generated run of the same benchmarks, normalises each
 timing by the trial/repeat count in scope (so a ``--smoke`` run is
 comparable to the committed full run), and fails when any shared field
-got slower by more than the tolerance.
+got slower by more than the tolerance.  A committed or fresh payload
+whose ``schema`` is not the one :data:`BENCHES` declares for its label
+fails the gate outright, so a mislabelled file cannot pass by sharing
+no fields.
 
 Speedups and *new* fields never fail the gate — only a recorded timing
 regressing does.  Timings whose committed and fresh totals are both under
@@ -40,13 +43,16 @@ from typing import Dict, List, Optional, Tuple
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Every gated benchmark: ``(label, script under tools/, committed payload
-#: under the repo root)``.  ``main`` builds the ``--committed-<label>`` and
-#: ``--fresh-<label>`` flags from it and compares the pairs in this order.
+#: under the repo root, payload schema)``.  ``main`` builds the
+#: ``--committed-<label>`` and ``--fresh-<label>`` flags from it, refuses a
+#: payload whose ``schema`` differs, and compares the pairs in this order.
 BENCHES = (
-    ("trials", "bench_perf.py", "BENCH_trials.json"),
-    ("protocol", "bench_protocol.py", "BENCH_protocol.json"),
-    ("robustness", "bench_robustness.py", "BENCH_robustness.json"),
-    ("smp", "bench_smp.py", "BENCH_smp.json"),
+    ("trials", "bench_perf.py", "BENCH_trials.json", "bench_trials/v1"),
+    ("protocol", "bench_protocol.py", "BENCH_protocol.json",
+     "bench_protocol/v1"),
+    ("robustness", "bench_robustness.py", "BENCH_robustness.json",
+     "bench_robustness/v2"),
+    ("smp", "bench_smp.py", "BENCH_smp.json", "bench_smp/v1"),
 )
 
 #: Paths where both runs spent less than this many seconds are skipped —
@@ -161,7 +167,7 @@ def main(argv=None) -> int:
                         help="fail on any *_seconds field slower by more "
                              "than this fraction (default 0.30; 3.0 with "
                              "--smoke)")
-    for label, script, committed in BENCHES:
+    for label, script, committed, _ in BENCHES:
         parser.add_argument(f"--fresh-{label}", type=pathlib.Path,
                             default=None,
                             help=f"fresh {script} payload; reused if it "
@@ -178,7 +184,7 @@ def main(argv=None) -> int:
 
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for label, script, _ in BENCHES:
+        for label, script, _, schema in BENCHES:
             committed_path = getattr(args, f"committed_{label}")
             fresh_path = getattr(args, f"fresh_{label}")
             if not committed_path.exists():
@@ -191,6 +197,15 @@ def main(argv=None) -> int:
                 _run_bench(script, args.smoke, fresh_path)
             committed = json.loads(committed_path.read_text())
             fresh = json.loads(fresh_path.read_text())
+            for kind, payload in (("committed", committed),
+                                  ("fresh", fresh)):
+                found = (payload.get("schema")
+                         if isinstance(payload, dict) else None)
+                if found != schema:
+                    print(f"ERROR: [{label}] {kind} payload has schema "
+                          f"{found!r}, expected {schema!r}",
+                          file=sys.stderr)
+                    return 1
             pairs.append((label, committed, fresh))
 
     failed = False

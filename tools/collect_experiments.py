@@ -215,10 +215,10 @@ SECTIONS = [
         "of the topology and τ alone, so which node's j-th sample lands "
         "in which package is fixed across Monte-Carlo trials.  "
         "`repro.congest.trial_plane` extracts that packaging layout once "
-        "(`PackagingLayout`, cross-checked against a real engine run; or "
-        "`RealisedLayout` from one instrumented faulty run for the "
-        "hardened tester under a fixed `FaultPlan` — pack-then-replay) "
-        "and then computes whole trial batches as one driver-double draw "
+        "(`PackagingLayout`, cross-checked against a real engine run; the "
+        "hardened tester under a fixed `FaultPlan` uses a one-plan "
+        "fault-plane replay, the one hardened replay, for the packages "
+        "its root counts) and then computes whole trial batches as one driver-double draw "
         "(`sample_uniform`, the doubles `Generator.choice` would turn "
         "into samples) + one pass of the shared collision kernel "
         "`repro.zeroround.network.grouped_collision` (gather, bit-pattern "
