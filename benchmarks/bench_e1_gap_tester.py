@@ -48,7 +48,7 @@ def test_e1_gap_tester_table(benchmark):
     for delta, eps, family in CASES:
         tester = CollisionGapTester.from_delta(N, delta)
         far = far_family(family, N, eps, rng=1)
-        # Seed-like rng routes through TrialRunner.error_rate_batched, so
+        # Seed-like rng routes through the trial engine's error_rate, so
         # the estimates are chunk-keyed and invariant to batch.
         rate_u = estimate_rejection_probability(
             u, tester.s, TRIALS, rng=2, batch=BATCH

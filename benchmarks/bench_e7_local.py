@@ -80,7 +80,9 @@ def test_e7_ring_table(benchmark):
                    2 * round(ENGINE_CHECK * TRIALS), "bit-identical"])
     print("\n" + save_table("e7_local_ring", table))
 
-    benchmark(lambda: runner.error_rate(u, True, 128))
+    benchmark(lambda: tester.estimate_error(
+        ring, u, True, R, 128, rng=100, fast_path=True
+    ))
 
 
 @pytest.mark.benchmark(group="e7")

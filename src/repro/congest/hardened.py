@@ -50,7 +50,7 @@ from repro.exceptions import (
     InfeasibleParametersError,
     ParameterError,
 )
-from repro.rng import SeedLike, ensure_rng
+from repro.rng import SeedLike, ensure_rng, seed_of
 from repro.simulator.engine import EngineReport, SynchronousEngine
 from repro.simulator.faults import FaultPlan
 from repro.simulator.graph import Topology
@@ -931,7 +931,7 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
         A trial errs when the network verdict disagrees with
         ``is_uniform`` (a ``None`` verdict — the root crashed — counts as
         an error on either side).  ``rng`` must be seed-like (``None`` or
-        int); trials draw from the trial engine's chunk-keyed streams.
+        int): both routes run on the trial engine's chunk-keyed streams.
 
         ``fast_path`` (default on) replays the plan once on the fault
         plane (:func:`~repro.congest.fault_plane.replay_hardened_trials`
@@ -952,17 +952,17 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
         :class:`~repro.exceptions.ParameterError`; run such plans with
         ``fast_path=False``.
         """
-        if not (rng is None or isinstance(rng, (int, np.integer))):
-            raise ParameterError(
-                "estimate_error needs a seed-like rng (None or int), got "
-                f"{type(rng).__name__}"
-            )
         from repro.congest.fault_plane import replay_hardened_trials
         from repro.congest.trial_plane import CongestVerdictKernel
-        from repro.experiments.runner import TrialRunner
+        from repro.experiments.runner import (
+            TrialRunner,
+            check_engine_check,
+            error_rate,
+        )
         from repro.zeroround.network import auto_batch
 
-        runner = TrialRunner(base_seed=0 if rng is None else int(rng))
+        base_seed = seed_of(rng)
+        check_engine_check(engine_check)
         experiment = _HardenedTrialExperiment(
             tester=self,
             topology=topology,
@@ -972,8 +972,8 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
             d_hint=d_hint,
         )
         if not fast_path:
-            return runner.error_rate(
-                experiment, trials, "hardened", topology.k
+            return error_rate(
+                experiment, trials, base_seed, "hardened", topology.k
             ).rate
         replayed = replay_hardened_trials(
             self,
@@ -992,7 +992,7 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
             hardened=True,
             root_alive=bool(replayed.root_alive[0]),
         )
-        flags = runner.run_audited(
+        flags = TrialRunner(base_seed=base_seed).run_audited(
             kernel,
             lambda: experiment,
             trials,
@@ -1003,7 +1003,7 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
             span="trial_plane.engine_check",
             hardened=True,
         )
-        return float(flags.sum()) / trials
+        return float(flags.mean())
 
 
 @dataclass(frozen=True)

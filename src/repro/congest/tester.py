@@ -36,7 +36,7 @@ from repro.core.collision import (
 )
 from repro.distributions.base import DiscreteDistribution
 from repro.exceptions import InfeasibleParametersError, ParameterError
-from repro.rng import SeedLike, ensure_rng
+from repro.rng import SeedLike, ensure_rng, seed_of
 from repro.simulator.engine import EngineReport, SynchronousEngine
 from repro.simulator.faults import FaultPlan
 from repro.simulator.graph import Topology
@@ -461,9 +461,8 @@ class CongestUniformityTester:
     ) -> float:
         """Monte-Carlo error rate over full protocol executions.
 
-        Seed-like ``rng`` routes through the trial engine (chunk-keyed,
-        reproducible streams).  A ``Generator`` parent falls back to the
-        sequential legacy loop.
+        The trials' stream follows ``rng``
+        (:func:`~repro.experiments.runner.error_rate`).
 
         ``warm_start`` (default on) runs each trial from the topology's
         cached tree schedule — the error rate is bit-identical to cold
@@ -482,45 +481,28 @@ class CongestUniformityTester:
         measurement of record for rounds/bandwidth; the fast path exists
         for error-rate sweeps, where only the verdict matters.
         """
-        from repro.experiments.runner import TrialRunner, check_trials
+        from repro.experiments.runner import check_engine_check, error_rate
 
-        trials = check_trials(trials)
-        if rng is None or isinstance(rng, (int, np.integer)):
-            base_seed = 0 if rng is None else int(rng)
-            if fast_path:
-                from repro.congest.trial_plane import CongestTrialRunner
-
-                runner = CongestTrialRunner.build(self, topology)
-                return runner.error_rate(
-                    distribution,
-                    is_uniform,
-                    trials,
-                    base_seed=base_seed,
-                    engine_check=engine_check,
-                )
-            experiment = _CongestTrialExperiment(
-                tester=self,
-                topology=topology,
-                distribution=distribution,
-                is_uniform=is_uniform,
-                warm_start=warm_start,
-            )
-            est = TrialRunner(base_seed=base_seed).error_rate(
-                experiment, trials, "congest", topology.k
-            )
-            return est.rate
+        check_engine_check(engine_check)
         if fast_path:
-            raise ParameterError(
-                "fast_path needs a seed-like rng (None or int): the trial "
-                "plane replays chunk-keyed streams, not a shared Generator"
+            from repro.congest.trial_plane import CongestTrialRunner
+
+            flags = CongestTrialRunner.build(self, topology).run_flags(
+                distribution,
+                is_uniform,
+                trials,
+                base_seed=seed_of(rng),
+                engine_check=engine_check,
             )
-        gen = ensure_rng(rng)
-        errors = 0
-        for _ in range(trials):
-            accepted, _ = self.run(topology, distribution, gen, warm_start=warm_start)
-            if accepted != is_uniform:
-                errors += 1
-        return errors / trials
+            return float(flags.mean())
+        experiment = _CongestTrialExperiment(
+            tester=self,
+            topology=topology,
+            distribution=distribution,
+            is_uniform=is_uniform,
+            warm_start=warm_start,
+        )
+        return error_rate(experiment, trials, rng, "congest", topology.k).rate
 
 
 @dataclass(frozen=True)

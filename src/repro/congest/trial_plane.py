@@ -426,21 +426,3 @@ class CongestTrialRunner:
             engine_check=engine_check,
             span="trial_plane.engine_check",
         )
-
-    def error_rate(
-        self,
-        distribution: DiscreteDistribution,
-        is_uniform: bool,
-        trials: int,
-        base_seed: int = 0,
-        engine_check: float = 0.0,
-    ) -> float:
-        """Monte-Carlo error rate over :meth:`run_flags`."""
-        flags = self.run_flags(
-            distribution,
-            is_uniform,
-            trials,
-            base_seed=base_seed,
-            engine_check=engine_check,
-        )
-        return float(flags.sum()) / trials

@@ -9,7 +9,8 @@ and the examples:
 - :mod:`repro.experiments.runner` — the batched Monte-Carlo trial
   engine: deterministic per-configuration chunk streams keyed by
   (seed, labels, chunk), with scalar and vectorised paths that produce
-  bit-identical results, and the one audited runner
+  bit-identical results, the one rate entry (``error_rate``) behind
+  every ``estimate_error``, and the one audited runner
   (``TrialRunner.run_audited``) behind every vectorised trial plane.
 - :mod:`repro.experiments.tables` — plain-ASCII table rendering for
   benchmark output (the repo's stand-in for the paper's tables).
@@ -20,12 +21,7 @@ and the examples:
   fraction, with the engine's fault counters alongside.
 """
 
-from repro.experiments.runner import (
-    TRIAL_CHUNK,
-    TrialRunner,
-    estimate_probability,
-    estimate_probability_batched,
-)
+from repro.experiments.runner import TRIAL_CHUNK, TrialRunner, error_rate
 from repro.experiments.stats import (
     ErrorEstimate,
     empirical_sample_complexity,
@@ -48,8 +44,7 @@ from repro.experiments.tables import Table
 __all__ = [
     "TRIAL_CHUNK",
     "TrialRunner",
-    "estimate_probability",
-    "estimate_probability_batched",
+    "error_rate",
     "ErrorEstimate",
     "estimate",
     "wilson_interval",

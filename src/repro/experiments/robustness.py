@@ -40,6 +40,7 @@ from repro.congest.hardened import (
 )
 from repro.distributions import far_family, uniform
 from repro.exceptions import ParameterError
+from repro.experiments.runner import audit_prefix
 from repro.simulator.faults import FaultPlan
 from repro.simulator.graph import Topology
 
@@ -162,8 +163,8 @@ def robustness_sweep(
     batched build covers the whole grid, and each trial's samples are
     drawn once and shared across points (the engine would redraw them
     per point, but trial ``t`` uses seed ``base_seed + t`` everywhere).
-    A subset of ``max(1, round(engine_check · trials))`` trials per
-    point still runs through the engine: it supplies ``mean_rounds`` /
+    A subset of :func:`~repro.experiments.runner.audit_prefix` trials
+    per point still runs through the engine: it supplies ``mean_rounds`` /
     ``mean_drops`` (observables only the engine measures; 0.0 when
     ``engine_check`` is 0) and cross-checks the replayed verdicts,
     agreement, and give-up counters, raising
@@ -171,10 +172,7 @@ def robustness_sweep(
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if not 0.0 <= engine_check <= 1.0:
-        raise ParameterError(
-            f"engine_check must be in [0, 1], got {engine_check}"
-        )
+    audited = audit_prefix(engine_check, trials)
     tester = HardenedCongestTester.solve(
         n, k, eps, p, samples_per_node, policy=policy
     )
@@ -207,13 +205,14 @@ def robustness_sweep(
     ):
         return _sweep_points(
             tester, topo, dist_u, dist_far, grid, point_plan,
-            topology, k, trials, base_seed, fast_path, engine_check, d_hint,
+            topology, k, trials, base_seed, fast_path,
+            audited if fast_path else trials, d_hint,
         )
 
 
 def _sweep_points(
     tester, topo, dist_u, dist_far, grid, point_plan,
-    topology, k, trials, base_seed, fast_path, engine_check, d_hint,
+    topology, k, trials, base_seed, fast_path, engine_trials, d_hint,
 ):
     score_u = score_f = None
     fast_share = 0.0
@@ -275,13 +274,6 @@ def _sweep_points(
                     score_u.agreement[rows].sum()
                     + score_f.agreement[rows].sum()
                 )
-                engine_trials = (
-                    min(trials, max(1, int(round(engine_check * trials))))
-                    if engine_check > 0
-                    else 0
-                )
-            else:
-                engine_trials = trials
             engine_start = time.perf_counter()
             check_span = telemetry.span(
                 "robustness.engine_check" if fast_path

@@ -29,27 +29,31 @@ that consumes the generator identically (e.g. one network trial vs. the
 matrix kernel over many — see :mod:`repro.zeroround.network`) produces
 bit-identical failure flags through either API.
 
+:func:`error_rate` is the one rate entry behind every ``estimate_error``
+route that is not a trial plane: it runs a seed-like ``rng`` on these
+chunk streams and a live ``Generator`` in sequence on its one stream.
+
 Audited fast paths
 ------------------
 The vectorised trial planes (CONGEST, hardened, LOCAL, SMP) replay a
 protocol's verdicts from a fixed layout.  :meth:`TrialRunner.run_audited`
 runs such a kernel and, for ``engine_check`` ∈ (0, 1], re-runs the first
-``max(1, round(engine_check · trials))`` trials — a prefix of the same
-chunk-keyed streams — through the plane's scalar reference, raising
+:func:`audit_prefix` trials — a prefix of the same chunk-keyed streams —
+through the plane's scalar reference, raising
 :class:`~repro.exceptions.SimulationError` on any flag mismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Union
+from typing import Any, Callable, List, Optional, Union
 
 import numpy as np
 
 from repro import telemetry
 from repro.exceptions import ParameterError, SimulationError
 from repro.experiments.stats import ErrorEstimate, estimate
-from repro.rng import derive
+from repro.rng import SeedLike, derive, ensure_rng, seed_of
 
 #: Trials per randomness chunk.  This is the engine's reproducibility
 #: quantum: changing it re-keys every stream, so it is a constant, not a
@@ -70,6 +74,24 @@ def check_trials(trials) -> int:
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     return int(trials)
+
+
+def check_engine_check(engine_check: float) -> float:
+    """Validate an ``engine_check`` audit fraction: a number in [0, 1]
+    (not NaN), returned unchanged; else :class:`ParameterError`."""
+    if not 0.0 <= engine_check <= 1.0:
+        raise ParameterError(
+            f"engine_check must be in [0, 1], got {engine_check}"
+        )
+    return engine_check
+
+
+def audit_prefix(engine_check: float, trials: int) -> int:
+    """How many leading trials an ``engine_check`` audit re-runs: 0 for
+    0, else ``max(1, round(engine_check · trials))`` capped at *trials*."""
+    if check_engine_check(engine_check) == 0.0:
+        return 0
+    return min(trials, max(1, int(round(engine_check * trials))))
 
 
 def _chunk_lengths(trials: int) -> List[int]:
@@ -211,13 +233,9 @@ class TrialRunner:
         raises :class:`SimulationError` on any flag mismatch.  The
         reference is built only when the check runs.
         """
-        if not 0.0 <= engine_check <= 1.0:
-            raise ParameterError(
-                f"engine_check must be in [0, 1], got {engine_check}"
-            )
+        checked = audit_prefix(engine_check, check_trials(trials))
         flags = self.run_flags_batched(kernel, trials, *labels, batch=batch)
-        if engine_check > 0.0:
-            checked = min(trials, max(1, int(round(engine_check * trials))))
+        if checked:
             with telemetry.span(span, trials=checked, **attrs) as sp:
                 expected = self.run_flags(reference(), checked, *labels)
                 sp.count("checked", checked)
@@ -230,45 +248,44 @@ class TrialRunner:
                     )
         return flags
 
-    # -- rate-level API ------------------------------------------------
 
-    def error_rate(
-        self, experiment: ScalarExperiment, trials: int, *labels: Label
-    ) -> ErrorEstimate:
-        """Fraction of trials where *experiment* returns ``True`` (= error)."""
-        flags = self.run_flags(experiment, trials, *labels)
-        return estimate(int(flags.sum()), trials)
-
-    def error_rate_batched(
-        self,
-        experiment: BatchedExperiment,
-        trials: int,
-        *labels: Label,
-        batch: int = TRIAL_CHUNK,
-    ) -> ErrorEstimate:
-        """Error rate via the vectorised experiment API.
-
-        1–2 orders of magnitude faster than :meth:`error_rate` for kernels
-        that sample whole trial batches in one numpy call.
-        """
-        flags = self.run_flags_batched(experiment, trials, *labels, batch=batch)
-        return estimate(int(flags.sum()), trials)
+def live_stream(rng: SeedLike) -> Optional[np.random.Generator]:
+    """The one stream a ``Generator`` (or ``SeedSequence``) *rng* runs its
+    trials on, or ``None`` for a seed-like *rng* (``None`` or an int)."""
+    if isinstance(rng, (np.random.Generator, np.random.SeedSequence)):
+        return ensure_rng(rng)
+    return None
 
 
-def estimate_probability(
-    experiment: ScalarExperiment, trials: int, seed: int = 0
-) -> ErrorEstimate:
-    """One-off convenience wrapper around :class:`TrialRunner`."""
-    return TrialRunner(base_seed=seed).error_rate(experiment, trials, "adhoc")
-
-
-def estimate_probability_batched(
-    experiment: BatchedExperiment,
+def error_rate(
+    experiment: Union[ScalarExperiment, BatchedExperiment],
     trials: int,
-    seed: int = 0,
-    batch: int = TRIAL_CHUNK,
+    rng: SeedLike,
+    *labels: Label,
+    batch: Optional[int] = None,
 ) -> ErrorEstimate:
-    """One-off convenience wrapper around :meth:`TrialRunner.error_rate_batched`."""
-    return TrialRunner(base_seed=seed).error_rate_batched(
-        experiment, trials, "adhoc", batch=batch
-    )
+    """Monte-Carlo error rate of a scalar experiment (``batch=None``) or
+    of a batched one (calls of at most ``batch`` trials).
+
+    A seed-like ``rng`` (``None`` → 0, or an int) runs the trials on
+    :class:`TrialRunner`'s chunk-keyed streams under *labels*; a live
+    ``Generator`` runs them in sequence on its one stream, as one chunk.
+    """
+    trials = check_trials(trials)
+    if batch is not None and batch < 1:
+        raise ParameterError(f"batch must be >= 1, got {batch}")
+    gen = live_stream(rng)
+    if gen is not None:
+        if batch is None:
+            flags = _scalar_chunk(experiment, gen, trials)
+        else:
+            flags = _batched_chunk(experiment, gen, trials, batch)
+    else:
+        runner = TrialRunner(base_seed=seed_of(rng))
+        if batch is None:
+            flags = runner.run_flags(experiment, trials, *labels)
+        else:
+            flags = runner.run_flags_batched(
+                experiment, trials, *labels, batch=batch
+            )
+    return estimate(int(flags.sum()), trials)

@@ -563,16 +563,3 @@ class LocalTrialRunner:
             distribution=distribution,
             is_uniform=is_uniform,
         )
-
-    def error_rate(
-        self,
-        distribution: DiscreteDistribution,
-        is_uniform: bool,
-        trials: int,
-        engine_check: float = 0.0,
-    ) -> float:
-        """Monte-Carlo error rate over :meth:`run_flags`."""
-        flags = self.run_flags(
-            distribution, is_uniform, trials, engine_check=engine_check
-        )
-        return float(flags.sum()) / trials

@@ -28,10 +28,10 @@ import numpy as np
 from repro.core.params import AndRuleParameters, and_rule_parameters
 from repro.distributions.base import DiscreteDistribution
 from repro.exceptions import InfeasibleParametersError, ParameterError
-from repro.experiments.runner import TrialRunner, check_trials
+from repro.experiments.runner import check_engine_check, error_rate, live_stream
 from repro.localmodel.gather import GatherResult, assign_catchments
 from repro.localmodel.mis import luby_mis, verify_mis
-from repro.rng import SeedLike, ensure_rng
+from repro.rng import SeedLike, ensure_rng, seed_of
 from repro.simulator.graph import Topology
 
 
@@ -233,13 +233,7 @@ class LocalUniformityTester:
         if fast_path:
             from repro.localmodel.local_plane import LocalLayout
 
-            if rng is not None and not isinstance(rng, (int, np.integer)):
-                raise ParameterError(
-                    "fast_path needs a seed-like rng (None or int): the "
-                    "layout cache replays per-radius keyed streams, not a "
-                    "shared Generator"
-                )
-            base_seed = 0 if rng is None else int(rng)
+            base_seed = seed_of(rng)
         else:
             gen = ensure_rng(rng)
         r = max(1, start)
@@ -282,62 +276,45 @@ class LocalUniformityTester:
         0-round guarantee does not rely on; the structural plan is fixed
         and each trial draws fresh samples, matching the model.
 
-        With a seed-like ``rng`` (``None`` or an int) the MIS coins come
-        from :func:`~repro.localmodel.local_plane.mis_generator` and the
-        trials run on the chunk-keyed trial engine — ``fast_path=True``
-        routes them through the vectorised
+        The trials' stream follows ``rng``
+        (:func:`~repro.experiments.runner.error_rate`); a seed-like rng
+        also keys the MIS coins
+        (:func:`~repro.localmodel.local_plane.mis_generator`), a
+        ``Generator`` draws them first from its one stream.
+        ``fast_path=True`` (seed-like rng only) routes the trials through
+        the vectorised
         :class:`~repro.localmodel.local_plane.LocalTrialRunner`
         (bit-identical flags; ``engine_check`` re-runs a prefix through
         the scalar tester and cross-checks the layout against a real
-        engine MIS, raising ``SimulationError`` on divergence).  A
-        shared ``Generator`` keeps the legacy sequential loop.
+        engine MIS, raising ``SimulationError`` on divergence).
         """
-        trials = check_trials(trials)
-        if rng is None or isinstance(rng, (int, np.integer)):
-            from repro.localmodel.local_plane import (
-                LocalTrialRunner,
-                effective_radius,
-                mis_generator,
-            )
+        from repro.localmodel.local_plane import (
+            LocalTrialRunner,
+            effective_radius,
+            mis_generator,
+        )
 
-            base_seed = 0 if rng is None else int(rng)
-            if fast_path:
-                runner = LocalTrialRunner.build(
-                    self, topology, r, base_seed=base_seed
-                )
-                return runner.error_rate(
-                    distribution,
-                    is_uniform,
-                    trials,
-                    engine_check=engine_check,
-                )
-            plan = self.plan(
-                topology,
-                r,
-                mis_generator(base_seed, effective_radius(topology, r)),
-            )
-            experiment = _LocalTrialExperiment(
-                tester=self,
-                plan=plan,
-                distribution=distribution,
-                is_uniform=is_uniform,
-            )
-            return TrialRunner(base_seed=base_seed).error_rate(
-                experiment, trials, "local", topology.k
-            ).rate
+        check_engine_check(engine_check)
         if fast_path:
-            raise ParameterError(
-                "fast_path needs a seed-like rng (None or int): the trial "
-                "plane replays chunk-keyed streams, not a shared Generator"
+            runner = LocalTrialRunner.build(
+                self, topology, r, base_seed=seed_of(rng)
             )
-        gen = ensure_rng(rng)
-        plan = self.plan(topology, r, gen)
-        errors = 0
-        for _ in range(trials):
-            accepted = self.test_with_plan(plan, distribution, gen)
-            if accepted != is_uniform:
-                errors += 1
-        return errors / trials
+            flags = runner.run_flags(
+                distribution, is_uniform, trials, engine_check=engine_check
+            )
+            return float(flags.mean())
+        stream = live_stream(rng)
+        if stream is None:
+            plan_rng = mis_generator(seed_of(rng), effective_radius(topology, r))
+        else:
+            rng = plan_rng = stream  # the trials follow the plan's draws
+        experiment = _LocalTrialExperiment(
+            tester=self,
+            plan=self.plan(topology, r, plan_rng),
+            distribution=distribution,
+            is_uniform=is_uniform,
+        )
+        return error_rate(experiment, trials, rng, "local", topology.k).rate
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Every randomized component in this library draws randomness from a
 :class:`numpy.random.Generator`.  Nothing ever touches process-global random
 state, which keeps experiments reproducible and lets tests pin seeds.
 
-Four helpers cover the common needs:
+Five helpers cover the common needs:
 
 - :func:`ensure_rng` normalises "anything seed-like" (``None``, an ``int``, a
   ``SeedSequence`` or an existing ``Generator``) into a ``Generator``.
+- :func:`seed_of` reads the base seed of a seed-like ``rng`` (``None`` or
+  an ``int``) for keyed streams, rejecting a shared ``Generator``.
 - :func:`spawn` derives ``count`` statistically independent child generators
   from a parent via ``SeedSequence`` spawning (the collision-safe numpy
   idiom), used to give each simulated network node its own private coins
@@ -36,6 +38,8 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.exceptions import ParameterError
+
 #: Anything accepted as a source of randomness by :func:`ensure_rng`.
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
@@ -62,6 +66,19 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
+
+
+def seed_of(rng: SeedLike) -> int:
+    """The base seed of a seed-like *rng*: ``None`` → 0, an ``int`` → itself;
+    anything else (a ``Generator``: no seed to key streams by) raises."""
+    if rng is None:
+        return 0
+    if isinstance(rng, (int, np.integer)):
+        return int(rng)
+    raise ParameterError(
+        "this route needs a seed-like rng (None or an int) to key its "
+        f"streams, got {type(rng).__name__}"
+    )
 
 
 def spawn(rng: np.random.Generator, count: int) -> List[np.random.Generator]:

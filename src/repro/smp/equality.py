@@ -31,8 +31,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.exceptions import CodingError, ParameterError
-from repro.experiments.runner import check_trials
-from repro.rng import SeedLike, ensure_rng
+from repro.experiments.runner import check_engine_check, check_trials, error_rate
+from repro.rng import SeedLike, ensure_rng, seed_of
 from repro.smp._validation import check_message_bits
 from repro.smp.codes import ConcatenatedCode
 
@@ -224,36 +224,22 @@ class EqualityProtocol:
         """Monte-Carlo error rate on ``(x, y)``: fraction of trials whose
         referee verdict disagrees with the ground truth ``x == y``.
 
-        With a seed-like ``rng`` (``None`` or an int) the trials run on
-        the chunk-keyed trial engine; ``fast_path=True`` (the default)
-        routes them through the vectorised
-        :class:`~repro.smp.smp_plane.EqualityTrialRunner` — bit-identical
-        flags per seed, with ``engine_check`` re-running that fraction of
-        the trials through the scalar :meth:`run` and raising
-        :class:`~repro.exceptions.SimulationError` on divergence.  A live
-        ``Generator`` keeps the legacy sequential loop (and requires
-        ``fast_path=False``).
+        The trials' stream follows ``rng``
+        (:func:`~repro.experiments.runner.error_rate`).
+        ``fast_path=True`` (the default; seed-like rng only) routes them
+        through the vectorised
+        :class:`~repro.smp.smp_plane.EqualityTrialRunner` —
+        bit-identical flags per seed, with ``engine_check`` re-running
+        that fraction of the trials through the scalar :meth:`run` and
+        raising :class:`~repro.exceptions.SimulationError` on divergence.
         """
-        trials = check_trials(trials)
-        if rng is None or isinstance(rng, (int, np.integer)):
-            from repro.smp.smp_plane import EqualityTrialRunner
+        from repro.smp.smp_plane import EqualityTrialRunner
 
-            runner = EqualityTrialRunner.for_torus(
-                self, x, y, base_seed=0 if rng is None else int(rng)
-            )
-            if fast_path:
-                return runner.error_rate(trials, engine_check=engine_check)
-            return runner.scalar_error_rate(trials)
+        check_engine_check(engine_check)
         if fast_path:
-            raise ParameterError(
-                "fast_path needs a seed-like rng (None or int): the trial "
-                "plane replays chunk-keyed streams, not a shared Generator"
+            runner = EqualityTrialRunner.for_torus(
+                self, x, y, base_seed=seed_of(rng)
             )
-        gen = ensure_rng(rng)
-        equal = bool(np.array_equal(np.asarray(x), np.asarray(y)))
-        errors = 0
-        for _ in range(trials):
-            accepted, _ = self.run(x, y, gen)
-            if accepted != equal:
-                errors += 1
-        return errors / trials
+            return float(runner.run_flags(trials, engine_check).mean())
+        runner = EqualityTrialRunner.for_torus(self, x, y)
+        return error_rate(runner.scalar, trials, rng, *runner.labels).rate

@@ -308,13 +308,3 @@ class EqualityTrialRunner:
         return TrialRunner(base_seed=self.base_seed).run_flags(
             self.scalar, trials, *self.labels
         )
-
-    def error_rate(self, trials: int, engine_check: float = 0.0) -> float:
-        """Monte-Carlo error rate over :meth:`run_flags`."""
-        flags = self.run_flags(trials, engine_check=engine_check)
-        return float(flags.sum()) / trials
-
-    def scalar_error_rate(self, trials: int) -> float:
-        """Monte-Carlo error rate over :meth:`scalar_flags`."""
-        flags = self.scalar_flags(trials)
-        return float(flags.sum()) / trials

@@ -527,27 +527,13 @@ def estimate_rejection_probability(
 ) -> float:
     """Monte-Carlo estimate of ``Pr[A_δ rejects]`` on *distribution*.
 
-    Runs the single-collision tester *trials* times in vectorised batches.
-    Seed-like ``rng`` (``None`` or ``int``) routes through the trial engine
-    — chunk-keyed streams, reproducible for any ``batch``.  A ``Generator``
-    parent falls back to sequential single-stream batching (legacy
-    behaviour).  Used by the E1
-    benchmark and the empirical sample-complexity search.
+    Runs the single-collision tester *trials* times in vectorised batches
+    of at most ``batch``; the trials' stream follows ``rng``
+    (:func:`~repro.experiments.runner.error_rate`), and the estimate
+    does not depend on ``batch``.  Used by the E1 benchmark and the
+    empirical sample-complexity search.
     """
-    from repro.experiments.runner import TrialRunner, check_trials
+    from repro.experiments.runner import error_rate
 
-    trials = check_trials(trials)
-    if rng is None or isinstance(rng, (int, np.integer)):
-        kernel = CollisionTrialKernel(distribution, s)
-        est = TrialRunner(base_seed=0 if rng is None else int(rng)).error_rate_batched(
-            kernel, trials, "rejection", s, batch=batch
-        )
-        return est.rate
-    gen = ensure_rng(rng)
-    rejected = 0
-    remaining = trials
-    while remaining > 0:
-        chunk = min(batch, remaining)
-        rejected += int(collision_reject_flags(distribution, chunk, s, gen).sum())
-        remaining -= chunk
-    return rejected / trials
+    kernel = CollisionTrialKernel(distribution, s)
+    return error_rate(kernel, trials, rng, "rejection", s, batch=batch).rate

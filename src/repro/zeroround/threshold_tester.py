@@ -115,24 +115,18 @@ class ThresholdNetworkTester:
     ) -> float:
         """Monte-Carlo error rate over *trials* network executions.
 
-        Seed-like ``rng`` routes through the batched trial engine
-        (reproducible for any ``batch``); a ``Generator``
-        parent falls back to the sequential single-stream path.
+        The trials' stream follows ``rng``
+        (:func:`~repro.experiments.runner.error_rate`); the rate does not
+        depend on ``batch``.
         """
-        from repro.experiments.runner import TrialRunner, check_trials
+        from repro.experiments.runner import error_rate
 
-        trials = check_trials(trials)
         p = self.params
+        kernel = ThresholdNetworkErrorKernel(
+            distribution, p.k, p.s, p.threshold, is_uniform
+        )
         if batch is None:
             batch = auto_batch(p.k * p.s)
-        if rng is None or isinstance(rng, (int, np.integer)):
-            kernel = ThresholdNetworkErrorKernel(
-                distribution, p.k, p.s, p.threshold, is_uniform
-            )
-            est = TrialRunner(base_seed=0 if rng is None else int(rng)).error_rate_batched(
-                kernel, trials, "threshold_rule", p.k, batch=batch
-            )
-            return est.rate
-        gen = ensure_rng(rng)
-        errors = int((self.test_many(distribution, trials, gen, batch) != is_uniform).sum())
-        return errors / trials
+        return error_rate(
+            kernel, trials, rng, "threshold_rule", p.k, batch=batch
+        ).rate

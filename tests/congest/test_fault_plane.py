@@ -24,7 +24,7 @@ from repro.congest.hardened import (
 from repro.distributions import far_family, uniform
 from repro.exceptions import ParameterError, SimulationError
 from repro.experiments.robustness import _crash_plan, make_topology
-from repro.experiments.runner import TrialRunner
+from repro.experiments.runner import error_rate
 from repro.simulator.faults import DelayDistribution, FaultPlan
 
 N, K, EPS, P, S = 200, 60, 0.9, 1.0 / 3.0, 64
@@ -229,12 +229,13 @@ class TestFixedPlan:
                 tester.estimate_error(
                     topo, dist_far, False, 3, rng=3, faults=plan
                 )
-            expected = TrialRunner(base_seed=3).error_rate(
+            expected = error_rate(
                 _HardenedTrialExperiment(
                     tester=tester, topology=topo, distribution=dist_far,
                     is_uniform=False, faults=plan,
                 ),
-                3,
+                3,  # trials
+                3,  # rng
                 "hardened",
                 K,
             )

@@ -14,7 +14,7 @@ import pytest
 from repro.core import threshold_parameters
 from repro.experiments import (
     Table,
-    TrialRunner,
+    error_rate,
     geometric_int_grid,
     loglog_slope,
 )
@@ -30,7 +30,7 @@ class TestMiniSweep:
         assert -0.7 <= slope <= -0.3
 
     def test_trial_runner_with_real_tester(self):
-        """TrialRunner drives a real tester deterministically."""
+        """The trial engine drives a real tester deterministically."""
         from repro.distributions import uniform
         from repro.zeroround.network import collision_reject_flags
 
@@ -43,9 +43,8 @@ class TestMiniSweep:
             )
             return alarms >= params.threshold  # error on uniform
 
-        runner = TrialRunner(base_seed=42)
-        first = runner.error_rate(experiment, 6, "mini", params.k)
-        second = runner.error_rate(experiment, 6, "mini", params.k)
+        first = error_rate(experiment, 6, 42, "mini", params.k)
+        second = error_rate(experiment, 6, 42, "mini", params.k)
         assert first.failures == second.failures
         assert first.rate <= 1 / 3 + 0.35  # 6 trials, generous
 

@@ -11,15 +11,12 @@ import pytest
 from repro import telemetry
 from repro.distributions import uniform
 from repro.exceptions import ParameterError, SimulationError
-from repro.experiments import (
-    TRIAL_CHUNK,
-    TrialRunner,
-    estimate_probability,
-    estimate_probability_batched,
-)
+from repro.experiments import TRIAL_CHUNK, TrialRunner, error_rate
 from repro.zeroround import (
+    AndNetworkErrorKernel,
     CollisionTrialKernel,
     ScalarCollisionTrial,
+    ThresholdNetworkErrorKernel,
     estimate_rejection_probability,
 )
 
@@ -29,33 +26,33 @@ class TestTrialRunner:
         def coin(rng: np.random.Generator) -> bool:
             return bool(rng.random() < 0.3)
 
-        a = TrialRunner(base_seed=5).error_rate(coin, 200, "cfg", 1)
-        b = TrialRunner(base_seed=5).error_rate(coin, 200, "cfg", 1)
+        a = error_rate(coin, 200, 5, "cfg", 1)
+        b = error_rate(coin, 200, 5, "cfg", 1)
         assert a.failures == b.failures
 
     def test_labels_isolate_configurations(self):
         def coin(rng):
             return bool(rng.random() < 0.5)
 
-        a = TrialRunner(base_seed=5).error_rate(coin, 100, "cfg", 1)
-        b = TrialRunner(base_seed=5).error_rate(coin, 100, "cfg", 2)
+        a = error_rate(coin, 100, 5, "cfg", 1)
+        b = error_rate(coin, 100, 5, "cfg", 2)
         assert a.failures != b.failures  # overwhelming probability
 
     def test_rate_converges(self):
         def coin(rng):
             return bool(rng.random() < 0.25)
 
-        est = TrialRunner(base_seed=0).error_rate(coin, 3000, "p25")
+        est = error_rate(coin, 3000, 0, "p25")
         assert est.rate == pytest.approx(0.25, abs=0.03)
 
     def test_trial_count_validated(self):
         with pytest.raises(ParameterError):
-            TrialRunner(base_seed=0).error_rate(lambda rng: True, 0)
+            error_rate(lambda rng: True, 0, 0)
 
 
 class TestEstimateProbability:
     def test_convenience_wrapper(self):
-        est = estimate_probability(lambda rng: bool(rng.random() < 0.1), 1000, seed=1)
+        est = error_rate(lambda rng: bool(rng.random() < 0.1), 1000, 1, "adhoc")
         assert est.rate == pytest.approx(0.1, abs=0.04)
 
 
@@ -96,9 +93,8 @@ class TestBatchedEngine:
             assert np.array_equal(reference, flags), f"batch={batch}"
 
     def test_error_rate_batched_matches_scalar_rate(self):
-        runner = TrialRunner(base_seed=3)
-        scalar = runner.error_rate(_scalar_coin, 600, "coin")
-        batched = runner.error_rate_batched(_batched_coin, 600, "coin")
+        scalar = error_rate(_scalar_coin, 600, 3, "coin")
+        batched = error_rate(_batched_coin, 600, 3, "coin", batch=TRIAL_CHUNK)
         assert scalar.failures == batched.failures
         assert scalar.rate == batched.rate
 
@@ -123,9 +119,22 @@ class TestBatchedEngine:
             runner.run_flags_batched(_batched_coin, 10, "x", batch=0)
 
     def test_estimate_probability_batched_wrapper(self):
-        scalar = estimate_probability(_scalar_coin, 800, seed=2)
-        batched = estimate_probability_batched(_batched_coin, 800, seed=2)
+        scalar = error_rate(_scalar_coin, 800, 2, "adhoc")
+        batched = error_rate(_batched_coin, 800, 2, "adhoc", batch=64)
         assert scalar.failures == batched.failures
+
+
+class TestErrorRate:
+    """The one rate entry: the stream follows ``rng``."""
+
+    @pytest.mark.parametrize("rng", [np.random.default_rng(4), None, 4])
+    def test_batch_validated_on_every_route(self, rng):
+        with pytest.raises(ParameterError, match="batch"):
+            error_rate(_batched_coin, 10, rng, "x", batch=0)
+
+    def test_rng_that_is_neither_seed_nor_stream_rejected(self):
+        with pytest.raises(ParameterError, match="seed-like"):
+            error_rate(_scalar_coin, 10, "4", "x")
 
 
 class _FlipOne:
@@ -211,6 +220,7 @@ def fx() -> SimpleNamespace:
         HardenedCongestTester,
     )
     from repro.core import CollisionGapTester
+    from repro.distributions import far_family
     from repro.localmodel import LocalTrialRunner, LocalUniformityTester
     from repro.simulator import Topology
     from repro.smp import (
@@ -234,6 +244,13 @@ def fx() -> SimpleNamespace:
         tester=CollisionGapTester.from_delta(mapping.domain_size, 0.25),
     )
     x = np.zeros(16, dtype=np.int64)
+    y = x.copy()
+    y[3] = 1
+
+    def sides(n: int, eps: float) -> list:
+        """``(distribution, is_uniform)`` for the uniform and far sides."""
+        return [(uniform(n), True), (far_family("paninski", n, eps, rng=1), False)]
+
     return SimpleNamespace(
         star=star,
         ring=ring,
@@ -249,12 +266,18 @@ def fx() -> SimpleNamespace:
         torus_plane=EqualityTrialRunner.for_torus(torus, x, x),
         bcg=bcg,
         bcg_plane=EqualityTrialRunner.for_reduction(bcg, x, x),
+        congest_sides=sides(200, 0.9),
+        local_sides=sides(2_000, 1.0),
+        zero_round_sides=sides(50_000, 0.9),
+        rejection_sides=sides(400, 0.9),
+        smp_sides=[(x, x.copy()), (x, y)],
     )
 
 
 _RUNNER = TrialRunner(base_seed=0)
 
-#: ``(fx, trials) -> result`` for every public Monte-Carlo entry point.
+#: ``(fx, trials, **options) -> result`` for every public Monte-Carlo
+#: entry point; ``options`` (``engine_check``, ``fast_path``) reach the call.
 _ENTRY_POINTS = {
     "TrialRunner.run_flags": lambda fx, t: _RUNNER.run_flags(
         _scalar_coin, t, "x"
@@ -262,21 +285,19 @@ _ENTRY_POINTS = {
     "TrialRunner.run_flags_batched": lambda fx, t: _RUNNER.run_flags_batched(
         _batched_coin, t, "x"
     ),
-    "TrialRunner.run_audited": lambda fx, t: _RUNNER.run_audited(
-        _batched_coin, lambda: _scalar_coin, t, "x",
-        batch=16, engine_check=0.5, span="x",
+    "TrialRunner.run_audited": lambda fx, t, engine_check=0.5: (
+        _RUNNER.run_audited(
+            _batched_coin, lambda: _scalar_coin, t, "x",
+            batch=16, engine_check=engine_check, span="x",
+        )
     ),
-    "TrialRunner.error_rate": lambda fx, t: _RUNNER.error_rate(
-        _scalar_coin, t
+    "error_rate": lambda fx, t: error_rate(_scalar_coin, t, 0),
+    "error_rate/adhoc": lambda fx, t: error_rate(_scalar_coin, t, 0, "adhoc"),
+    "error_rate/b16": lambda fx, t: error_rate(
+        _batched_coin, t, 0, batch=16
     ),
-    "TrialRunner.error_rate_batched": lambda fx, t: _RUNNER.error_rate_batched(
-        _batched_coin, t
-    ),
-    "estimate_probability": lambda fx, t: estimate_probability(
-        _scalar_coin, t
-    ),
-    "estimate_probability_batched": lambda fx, t: estimate_probability_batched(
-        _batched_coin, t
+    "error_rate/gen": lambda fx, t: error_rate(
+        _scalar_coin, t, np.random.default_rng(0)
     ),
     "estimate_rejection_probability": lambda fx, t: (
         estimate_rejection_probability(_DIST, 9, t, rng=0)
@@ -287,30 +308,34 @@ _ENTRY_POINTS = {
     "AndRuleNetworkTester.estimate_error": lambda fx, t: (
         fx.and_rule.estimate_error(uniform(50_000), True, t, rng=0)
     ),
-    "CongestUniformityTester.estimate_error": lambda fx, t: (
+    "CongestUniformityTester.estimate_error": lambda fx, t, fast_path=True, **kw: (
         fx.congest.estimate_error(
-            fx.star, uniform(200), True, t, rng=0, fast_path=True
+            fx.star, uniform(200), True, t, rng=0, fast_path=fast_path, **kw
         )
     ),
-    "CongestTrialRunner.run_flags": lambda fx, t: (
-        fx.congest_plane.run_flags(uniform(200), True, t)
+    "CongestTrialRunner.run_flags": lambda fx, t, **kw: (
+        fx.congest_plane.run_flags(uniform(200), True, t, **kw)
     ),
-    "HardenedCongestTester.estimate_error": lambda fx, t: (
-        fx.hardened.estimate_error(fx.star, uniform(200), True, t, rng=0)
+    "HardenedCongestTester.estimate_error": lambda fx, t, **kw: (
+        fx.hardened.estimate_error(fx.star, uniform(200), True, t, rng=0, **kw)
     ),
-    "LocalUniformityTester.estimate_error": lambda fx, t: (
-        fx.local.estimate_error(fx.ring, uniform(2_000), True, 16, t, rng=0)
+    "LocalUniformityTester.estimate_error": lambda fx, t, **kw: (
+        fx.local.estimate_error(
+            fx.ring, uniform(2_000), True, 16, t, rng=0, **kw
+        )
     ),
-    "LocalTrialRunner.run_flags": lambda fx, t: (
-        fx.local_plane.run_flags(uniform(2_000), True, t)
+    "LocalTrialRunner.run_flags": lambda fx, t, **kw: (
+        fx.local_plane.run_flags(uniform(2_000), True, t, **kw)
     ),
-    "EqualityProtocol.estimate_error": lambda fx, t: (
-        fx.torus.estimate_error(fx.x, fx.x, t, rng=0)
+    "EqualityProtocol.estimate_error": lambda fx, t, **kw: (
+        fx.torus.estimate_error(fx.x, fx.x, t, rng=0, **kw)
     ),
-    "TesterBasedEqualityProtocol.estimate_error": lambda fx, t: (
-        fx.bcg.estimate_error(fx.x, fx.x, t, rng=0)
+    "TesterBasedEqualityProtocol.estimate_error": lambda fx, t, **kw: (
+        fx.bcg.estimate_error(fx.x, fx.x, t, rng=0, **kw)
     ),
-    "EqualityTrialRunner.run_flags": lambda fx, t: fx.torus_plane.run_flags(t),
+    "EqualityTrialRunner.run_flags": lambda fx, t, **kw: (
+        fx.torus_plane.run_flags(t, **kw)
+    ),
     "EqualityTrialRunner.scalar_flags": lambda fx, t: (
         fx.bcg_plane.scalar_flags(t)
     ),
@@ -324,3 +349,160 @@ def test_trial_count_validated_at_every_entry_point(fx, entry, bad):
     at every public entry point — never a TypeError or a silent run."""
     with pytest.raises(ParameterError, match="trials must be"):
         _ENTRY_POINTS[entry](fx, bad)
+
+
+#: Every route of every entry point that takes ``engine_check``: both
+#: ``fast_path`` settings of each ``estimate_error``.
+_ENGINE_CHECK_ROUTES = [
+    pytest.param(entry, {}, id=entry)
+    for entry in (
+        "TrialRunner.run_audited",
+        "CongestTrialRunner.run_flags",
+        "LocalTrialRunner.run_flags",
+        "EqualityTrialRunner.run_flags",
+    )
+] + [
+    pytest.param(entry, {"fast_path": fast}, id=f"{entry}(fast_path={fast})")
+    for entry in (
+        "CongestUniformityTester.estimate_error",
+        "HardenedCongestTester.estimate_error",
+        "LocalUniformityTester.estimate_error",
+        "EqualityProtocol.estimate_error",
+        "TesterBasedEqualityProtocol.estimate_error",
+    )
+    for fast in (True, False)
+]
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("entry,route", _ENGINE_CHECK_ROUTES)
+def test_engine_check_validated_at_every_entry_point(fx, entry, route, bad):
+    """An ``engine_check`` outside [0, 1] is a ParameterError on every
+    route, including the scalar ones that run no audit."""
+    with pytest.raises(ParameterError, match="engine_check"):
+        _ENTRY_POINTS[entry](fx, 4, engine_check=bad, **route)
+
+
+def _in_sequence(experiment, trials, gen, batch=None) -> float:
+    """Mean failure of *experiment* over *trials* trials run one after
+    another on the single stream *gen* (batched calls of at most
+    *batch* when *experiment* is batched)."""
+    if batch is None:
+        flags = [bool(experiment(gen)) for _ in range(trials)]
+    else:
+        flags = []
+        while len(flags) < trials:
+            flags.extend(experiment(gen, min(batch, trials - len(flags))))
+    return sum(flags) / trials
+
+
+def _local_reference(fx, dist, is_uniform, gen):
+    from repro.localmodel.tester import _LocalTrialExperiment
+
+    plan = fx.local.plan(fx.ring, 16, gen)  # the plan draws first
+    return _in_sequence(
+        _LocalTrialExperiment(fx.local, plan, dist, is_uniform), 20, gen
+    )
+
+
+def _congest_reference(fx, dist, is_uniform, gen):
+    from repro.congest.tester import _CongestTrialExperiment
+
+    experiment = _CongestTrialExperiment(
+        fx.congest, fx.star, dist, is_uniform, warm_start=True
+    )
+    return _in_sequence(experiment, 6, gen)
+
+
+def _smp_reference(experiment_cls, proto, x, y, gen):
+    equal = bool(np.array_equal(x, y))
+    return _in_sequence(experiment_cls(proto, x, y, equal), 30, gen)
+
+
+def _torus_reference(fx, x, y, gen):
+    from repro.smp.smp_plane import _TorusTrialExperiment
+
+    return _smp_reference(_TorusTrialExperiment, fx.torus, x, y, gen)
+
+
+def _bcg_reference(fx, x, y, gen):
+    from repro.smp.smp_plane import _ReductionTrialExperiment
+
+    return _smp_reference(_ReductionTrialExperiment, fx.bcg, x, y, gen)
+
+
+def _threshold_reference(fx, dist, is_uniform, gen):
+    p = fx.threshold.params
+    kernel = ThresholdNetworkErrorKernel(dist, p.k, p.s, p.threshold, is_uniform)
+    return _in_sequence(kernel, 5, gen, batch=2)
+
+
+def _and_reference(fx, dist, is_uniform, gen):
+    p = fx.and_rule.params
+    kernel = AndNetworkErrorKernel(
+        dist, p.k, p.m, p.s_per_repetition, is_uniform
+    )
+    return _in_sequence(kernel, 5, gen, batch=2)
+
+
+#: ``name -> (sides, estimate, reference)`` for every entry point with a
+#: live-``Generator`` route.  ``estimate(fx, *side, gen)`` is the entry's
+#: rate on ``gen``; ``reference(fx, *side, gen)`` loops the entry's scalar
+#: or batched experiment in sequence on ``gen``.
+_GENERATOR_ROUTES = {
+    "CongestUniformityTester.estimate_error": (
+        "congest_sides",
+        lambda fx, d, u, gen: fx.congest.estimate_error(fx.star, d, u, 6, rng=gen),
+        _congest_reference,
+    ),
+    "LocalUniformityTester.estimate_error": (
+        "local_sides",
+        lambda fx, d, u, gen: fx.local.estimate_error(fx.ring, d, u, 16, 20, rng=gen),
+        _local_reference,
+    ),
+    "EqualityProtocol.estimate_error": (
+        "smp_sides",
+        lambda fx, x, y, gen: fx.torus.estimate_error(
+            x, y, 30, rng=gen, fast_path=False
+        ),
+        _torus_reference,
+    ),
+    "TesterBasedEqualityProtocol.estimate_error": (
+        "smp_sides",
+        lambda fx, x, y, gen: fx.bcg.estimate_error(
+            x, y, 30, rng=gen, fast_path=False
+        ),
+        _bcg_reference,
+    ),
+    "ThresholdNetworkTester.estimate_error": (
+        "zero_round_sides",
+        lambda fx, d, u, gen: fx.threshold.estimate_error(d, u, 5, rng=gen, batch=2),
+        _threshold_reference,
+    ),
+    "AndRuleNetworkTester.estimate_error": (
+        "zero_round_sides",
+        lambda fx, d, u, gen: fx.and_rule.estimate_error(d, u, 5, rng=gen, batch=2),
+        _and_reference,
+    ),
+    "estimate_rejection_probability": (
+        "rejection_sides",
+        lambda fx, d, u, gen: estimate_rejection_probability(
+            d, 9, 500, rng=gen, batch=64
+        ),
+        lambda fx, d, u, gen: _in_sequence(
+            CollisionTrialKernel(d, 9), 500, gen, batch=64
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("side", [0, 1], ids=["uniform", "far"])
+@pytest.mark.parametrize("entry", sorted(_GENERATOR_ROUTES))
+def test_generator_route_runs_experiment_in_sequence(fx, entry, side, seed):
+    """A live ``Generator`` runs the entry's own experiment trial after
+    trial on its one stream: the rate equals that loop's, exactly."""
+    sides, estimate, reference = _GENERATOR_ROUTES[entry]
+    args = getattr(fx, sides)[side]
+    rate = estimate(fx, *args, np.random.default_rng(seed))
+    assert rate == reference(fx, *args, np.random.default_rng(seed))

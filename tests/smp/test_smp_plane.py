@@ -104,8 +104,9 @@ class TestTrialEngineBitIdentity:
     def test_error_rate_matches_scalar(self):
         proto = _bcg(4, 32)
         x, y = _pair(32)
-        runner = EqualityTrialRunner.for_reduction(proto, x, y, base_seed=2)
-        assert runner.error_rate(150) == runner.scalar_error_rate(150)
+        assert proto.estimate_error(x, y, 150, rng=2) == proto.estimate_error(
+            x, y, 150, rng=2, fast_path=False
+        )
 
     def test_tracing_does_not_change_flags(self):
         proto = _torus(4, 32)

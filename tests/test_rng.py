@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.rng import derive, derive_many, ensure_rng, spawn, spawn_lazy
+from repro.exceptions import ParameterError
+from repro.rng import derive, derive_many, ensure_rng, seed_of, spawn, spawn_lazy
 
 
 class TestEnsureRng:
@@ -33,6 +34,22 @@ class TestEnsureRng:
         b = ensure_rng(None).integers(0, 1 << 62)
         # Collision probability is negligible; equality means broken seeding.
         assert a != b
+
+
+class TestSeedOf:
+    def test_none_is_zero(self):
+        assert seed_of(None) == 0
+
+    def test_int_is_itself(self):
+        assert seed_of(7) == 7
+        assert seed_of(np.int64(7)) == 7 and type(seed_of(np.int64(7))) is int
+
+    @pytest.mark.parametrize(
+        "rng", [np.random.default_rng(1), np.random.SeedSequence(1), 1.5]
+    )
+    def test_anything_else_rejected(self, rng):
+        with pytest.raises(ParameterError, match="seed-like"):
+            seed_of(rng)
 
 
 class TestSpawn:
