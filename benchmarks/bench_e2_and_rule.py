@@ -66,6 +66,6 @@ def test_e2_and_rule_table(benchmark):
     print("\n" + save_table("e2_and_rule", table))
 
     tester = AndRuleNetworkTester.solve(N, K_SWEEP[0], EPS, P)
-    # Benchmark the vectorised and_rule_verdicts kernel: 16 network trials
-    # per call, one sample matrix each.
+    # Benchmark the trial-batched network (ZeroRoundNetwork.run_many): 16
+    # network trials per call, one driver-draw matrix each.
     benchmark(lambda: tester.test_many(u, 16, rng=1))

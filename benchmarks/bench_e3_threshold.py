@@ -60,8 +60,8 @@ def test_e3_threshold_scaling_table(benchmark):
     print("\n" + save_table("e3_threshold_scaling", table))
 
     tester = ThresholdNetworkTester.solve(N, 20_000, EPS)
-    # Benchmark the vectorised threshold_verdicts kernel: 16 network
-    # trials per call, one sample matrix each.
+    # Benchmark the trial-batched network (ZeroRoundNetwork.run_many): 16
+    # network trials per call, one driver-draw matrix each.
     benchmark(lambda: tester.test_many(u, 16, rng=1))
 
 

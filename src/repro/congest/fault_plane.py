@@ -76,11 +76,7 @@ from repro.exceptions import (
 )
 from repro.simulator.faults import _SALT_DROP, FaultPlan, uniform_array
 from repro.simulator.graph import Topology
-from repro.zeroround.network import (
-    grouped_collision,
-    grouped_collision_flags,
-    seed_drivers,
-)
+from repro.zeroround.network import grouped_collision, seed_drivers
 
 _NEVER = 1 << 30  # crash round for "never crashes"
 _BIG = 1 << 30  # "not yet" round sentinel
@@ -170,67 +166,61 @@ class ReplayedTrials:
 
     # -- sample-dependent scoring --------------------------------------
 
-    def score(self, flat: np.ndarray) -> "FaultPlaneScore":
-        """Verdicts + agreement for one ``(T, k·s)`` sample batch.
-
-        Row ``t`` must hold the samples trial ``t``'s engine run would
-        draw; the result then matches ``tester.run(...)`` bit for bit:
-        ``verdicts[t]`` is the elected root's decision (``None`` if it
-        crashed) and ``agreement[t]`` the fraction of surviving nodes
-        agreeing with it.
-        """
-        with telemetry.span("fault_plane.score", trials=self.trials):
-            return self._score(flat, grouped_collision_flags)
-
     def score_uniform(
         self, u: np.ndarray, distribution: DiscreteDistribution
     ) -> "FaultPlaneScore":
-        """:meth:`score` of ``distribution.index_quantiles(u)``, read
-        straight from the ``(T, k·s)`` driver doubles ``u``."""
-        with telemetry.span("fault_plane.score", trials=self.trials):
-            return self._score(
-                u, lambda flat, slots: grouped_collision(flat, slots, distribution)
-            )
+        """Verdicts + agreement for one ``(T, k·s)`` batch of driver doubles.
 
-    def _score(self, flat: np.ndarray, collide) -> "FaultPlaneScore":
-        """``collide(row, slots)`` flags the packages of the flattened batch."""
-        T, k = self.trials, self.k
-        flat = np.asarray(flat)
-        if flat.shape != (T, self.total_tokens):
-            raise ParameterError(
-                f"expected a ({T}, {self.total_tokens}) sample batch, got "
-                f"{flat.shape}"
+        Row ``t`` must hold the ``U[0, 1)`` draws behind the samples trial
+        ``t``'s engine run would draw; the result then matches
+        ``tester.run(...)`` bit for bit: ``verdicts[t]`` is the elected
+        root's decision (``None`` if it crashed) and ``agreement[t]`` the
+        fraction of surviving nodes agreeing with it.
+        """
+        with telemetry.span("fault_plane.score", trials=self.trials):
+            T, k = self.trials, self.k
+            u = np.asarray(u)
+            if u.shape != (T, self.total_tokens):
+                raise ParameterError(
+                    f"expected a ({T}, {self.total_tokens}) sample batch, got "
+                    f"{u.shape}"
+                )
+            alarms = np.zeros((T, k), dtype=np.int64)
+            slots = self.pkg_trial[:, None] * self.total_tokens + self.members
+            flagged = grouped_collision(u.reshape(-1), slots, distribution)
+            np.add.at(alarms, (self.pkg_trial, self.pkg_root), flagged)
+            # The Theorem 1.2 threshold rule, written out here rather
+            # than taken from repro.zeroround.decision: each (trial,
+            # fragment root) places its own threshold, and the -1
+            # (reject always) / -2 (not a live fragment root) sentinels
+            # are no ThresholdRule.
+            decides = (self.threshold >= 0) & (alarms < self.threshold)
+            root = k - 1
+            verdicts: List[Optional[bool]] = [
+                bool(decides[t, root]) if self.alive[t, root] else None
+                for t in range(T)
+            ]
+            # Per-node decisions: own verdict at fragment roots, the chain
+            # root's verdict where the broadcast arrived, default-reject
+            # (False) where it never did.
+            rows = np.arange(T)[:, None]
+            node_dec = np.where(
+                self.is_frag_root | self.heard,
+                decides[rows, self.frag_root],
+                False,
             )
-        alarms = np.zeros((T, k), dtype=np.int64)
-        slots = self.pkg_trial[:, None] * self.total_tokens + self.members
-        flagged = collide(flat.reshape(-1), slots)
-        np.add.at(alarms, (self.pkg_trial, self.pkg_root), flagged)
-        # Fragment-root decisions: reject-always where threshold == -1.
-        decides = (self.threshold >= 0) & (alarms < self.threshold)
-        root = k - 1
-        verdicts: List[Optional[bool]] = [
-            bool(decides[t, root]) if self.alive[t, root] else None
-            for t in range(T)
-        ]
-        # Per-node decisions: own verdict at fragment roots, the chain
-        # root's verdict where the broadcast arrived, default-reject
-        # (False) where it never did.
-        rows = np.arange(T)[:, None]
-        node_dec = np.where(
-            self.is_frag_root | self.heard,
-            decides[rows, self.frag_root],
-            False,
-        )
-        n_alive = self.alive.sum(axis=1)
-        agree = (
-            (node_dec == decides[:, root][:, None]) & self.alive
-        ).sum(axis=1)
-        agreement = np.where(
-            self.alive[:, root] & (n_alive > 0), agree / np.maximum(n_alive, 1), 0.0
-        )
-        return FaultPlaneScore(
-            verdicts=verdicts, agreement=agreement, alarms=alarms
-        )
+            n_alive = self.alive.sum(axis=1)
+            agree = (
+                (node_dec == decides[:, root][:, None]) & self.alive
+            ).sum(axis=1)
+            agreement = np.where(
+                self.alive[:, root] & (n_alive > 0),
+                agree / np.maximum(n_alive, 1),
+                0.0,
+            )
+            return FaultPlaneScore(
+                verdicts=verdicts, agreement=agreement, alarms=alarms
+            )
 
     def check_against_engine(
         self,
@@ -242,7 +232,7 @@ class ReplayedTrials:
         """Cross-check trial ``index`` against its engine run.
 
         ``verdict``/``agreement`` are the replay's sample-dependent
-        outputs for the same trial (from :meth:`score`); the counters
+        outputs for the same trial (from :meth:`score_uniform`); the counters
         compared here are sample-independent.  Raises
         :class:`SimulationError` on any divergence — the bit-identity
         contract is broken and no fast-path numbers can be trusted.
@@ -279,7 +269,7 @@ class ReplayedTrials:
 
 @dataclass(frozen=True, eq=False)
 class FaultPlaneScore:
-    """Sample-dependent outputs of :meth:`ReplayedTrials.score`."""
+    """Sample-dependent outputs of :meth:`ReplayedTrials.score_uniform`."""
 
     verdicts: List[Optional[bool]]
     agreement: np.ndarray

@@ -832,11 +832,7 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
                 f"tester solved for k={self.params.k}, topology has "
                 f"{topology.k}"
             )
-        if distribution.n != self.params.n:
-            raise ParameterError(
-                f"tester solved for n={self.params.n}, distribution has "
-                f"{distribution.n}"
-            )
+        distribution.require_domain(self.params.n)
         gen = ensure_rng(rng)
         s = self.params.samples_per_node
         samples = distribution.sample_matrix(topology.k, s, gen)
@@ -963,6 +959,7 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
 
         base_seed = seed_of(rng)
         check_engine_check(engine_check)
+        distribution.require_domain(self.params.n)
         experiment = _HardenedTrialExperiment(
             tester=self,
             topology=topology,

@@ -20,7 +20,6 @@ for token forwarding — with ``τ = Θ(n/(kε⁴))`` this is the theorem's
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -374,11 +373,7 @@ class CongestUniformityTester:
             raise ParameterError(
                 f"tester solved for k={self.params.k}, topology has {topology.k}"
             )
-        if distribution.n != self.params.n:
-            raise ParameterError(
-                f"tester solved for n={self.params.n}, distribution has "
-                f"{distribution.n}"
-            )
+        distribution.require_domain(self.params.n)
         gen = ensure_rng(rng)
         s = self.params.samples_per_node
         samples = distribution.sample_matrix(topology.k, s, gen)

@@ -35,16 +35,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError, SimulationError
 from repro.rng import SeedLike
 from repro.simulator.engine import EngineReport, SynchronousEngine
 from repro.simulator.faults import FaultPlan
 from repro.simulator.graph import Topology, TreeSchedule
-from repro.simulator.message import Message, bits_for_domain, bits_for_int
+from repro.simulator.message import Message, bits_for_int
 from repro.simulator.node import Context, NodeProgram
 
 # Phase labels (plain strings keep traces readable).

@@ -15,8 +15,9 @@ trials, and a trial's verdict reduces to
 2. flag packages containing a repeat — one gather + one sort-and-gap
    pass, :func:`repro.zeroround.network.grouped_collision`, which maps
    to outcomes only the few pairs that could collide,
-3. compare the alarm count against the Theorem 1.2 threshold for the
-   realised package count ``ℓ`` (a constant).
+3. apply the Theorem 1.2 threshold rule for the realised package count
+   ``ℓ`` (a constant) to the flags,
+   :func:`repro.zeroround.decision.threshold_accepts`.
 
 Two layout sources — division of labour:
 
@@ -68,12 +69,8 @@ from repro.experiments.runner import TrialRunner
 from repro.simulator.engine import SynchronousEngine
 from repro.simulator.graph import Topology, TreeSchedule
 from repro.simulator.message import bits_for_int
-from repro.zeroround.network import (
-    auto_batch,
-    grouped_collision,
-    grouped_collision_flags,
-    seed_drivers,
-)
+from repro.zeroround.decision import threshold_accepts
+from repro.zeroround.network import auto_batch, grouped_collision, seed_drivers
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +274,7 @@ def _root_accepts(
     """
     if threshold is None:
         return np.full(flags.shape[0], not hardened)
-    return flags.sum(axis=1) < threshold
+    return threshold_accepts(flags, threshold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,13 +360,7 @@ class CongestTrialRunner:
             tester=tester, topology=topology, layout=layout, threshold=threshold
         )
 
-    # -- per-sample / per-seed APIs ------------------------------------
-
-    def accepts(self, samples: np.ndarray) -> np.ndarray:
-        """Verdicts for a ``(trials, k·s)`` (or ``(trials, k, s)``) batch."""
-        flat = np.asarray(samples).reshape(-1, self.layout.total_tokens)
-        flags = grouped_collision_flags(flat, self.layout.members)
-        return _root_accepts(flags, self.threshold)
+    # -- per-seed API --------------------------------------------------
 
     def verdicts_for_seeds(
         self, distribution: DiscreteDistribution, seeds: Sequence[int]
@@ -380,6 +371,7 @@ class CongestTrialRunner:
         draws its samples, so verdict ``i`` is bit-identical to the
         engine run at ``seeds[i]``.
         """
+        distribution.require_domain(self.tester.params.n)
         u = seed_drivers(distribution, self.layout.total_tokens, seeds)
         flags = grouped_collision(u, self.layout.members, distribution)
         return [bool(a) for a in _root_accepts(flags, self.threshold)]
@@ -403,6 +395,7 @@ class CongestTrialRunner:
         fraction of the trials through the full engine
         (:meth:`~repro.experiments.runner.TrialRunner.run_audited`).
         """
+        distribution.require_domain(self.tester.params.n)
         kernel = CongestVerdictKernel(
             distribution=distribution,
             members=self.layout.members,

@@ -178,6 +178,14 @@ def has_collision(samples: np.ndarray) -> bool:
     return bool((ordered[1:] == ordered[:-1]).any())
 
 
+def sorted_ties(samples: np.ndarray) -> np.ndarray:
+    """``(..., s − 1)`` flags of equal sorted neighbours along the last
+    axis — the one sort-and-tie step of the vectorised integer collision
+    rules (a run of ``L`` equal samples shows as ``L − 1`` flags)."""
+    ordered = np.sort(samples, axis=-1)
+    return ordered[..., 1:] == ordered[..., :-1]
+
+
 @dataclass(frozen=True)
 class CollisionGapTester:
     """The paper's single-collision tester ``A_δ``.

@@ -123,11 +123,12 @@ def decide_many(tester: CentralizedTester, samples: np.ndarray) -> np.ndarray:
     """Batched tester verdicts: one bool per row of a ``(trials, s)`` matrix.
 
     Row-identical to calling ``tester.decide`` on each row.  The two
-    collision testers get closed-form vectorised paths (a per-row sort
-    plus adjacent-equality scan covers both the collision *gap* decision
-    and the exact collision-*pair* count); any other
-    :class:`CentralizedTester` falls back to a per-row ``decide`` loop, so
-    the function is always safe to call.
+    collision testers share one vectorised step,
+    :func:`~repro.core.collision.sorted_ties`: the gap tester accepts
+    rows without a tie, and the count tester turns the tie runs into
+    collision-*pair* counts.  Any other :class:`CentralizedTester` falls
+    back to a per-row ``decide`` loop, so the function is always safe to
+    call.
     """
     arr = np.asarray(samples)
     if arr.ndim != 2 or arr.shape[1] != tester.samples_required:
@@ -138,14 +139,12 @@ def decide_many(tester: CentralizedTester, samples: np.ndarray) -> np.ndarray:
     if arr.shape[0] == 0:
         return np.zeros(0, dtype=bool)
     from repro.core.baselines import CollisionCountTester
-    from repro.core.collision import CollisionGapTester
+    from repro.core.collision import CollisionGapTester, sorted_ties
 
     if isinstance(tester, CollisionGapTester):
-        ordered = np.sort(arr, axis=1)
-        return ~(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        return ~sorted_ties(arr).any(axis=1)
     if isinstance(tester, CollisionCountTester):
-        ordered = np.sort(arr, axis=1)
-        eq = ordered[:, 1:] == ordered[:, :-1]
+        eq = sorted_ties(arr)
         # Collision pairs per row: a run of L equal samples contributes
         # C(L, 2) pairs = the sum over the run of each element's distance
         # to the run start, computed via the last not-equal position.

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.exceptions import InvalidDistributionError
+from repro.exceptions import InvalidDistributionError, ParameterError
 from repro.rng import SeedLike, ensure_rng
 
 #: Absolute tolerance when checking that a probability vector sums to one.
@@ -98,6 +98,14 @@ class DiscreteDistribution:
     def n(self) -> int:
         """Domain size ``|Ω|``."""
         return int(self._probs.size)
+
+    def require_domain(self, n: int) -> None:
+        """Raise :class:`~repro.exceptions.ParameterError` unless the
+        domain size is ``n`` — the size a tester was calibrated for."""
+        if self.n != n:
+            raise ParameterError(
+                f"tester calibrated for n={n}, distribution has n={self.n}"
+            )
 
     @property
     def name(self) -> str:

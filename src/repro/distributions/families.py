@@ -26,7 +26,7 @@ distribution can deviate from uniform:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 

@@ -8,7 +8,6 @@ measured sweep into the exponent those claims predict.
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
 
 import numpy as np

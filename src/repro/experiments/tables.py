@@ -8,7 +8,7 @@ results verbatim.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 
 class Table:

@@ -19,9 +19,10 @@ gathering — is fixed across trials, and a trial's verdict reduces to
    sort, and exact
    :meth:`~repro.distributions.base.DiscreteDistribution.index_quantiles`
    lookups only for the sorted-adjacent pairs close enough to collide,
-4. AND across the ``m`` repetitions per virtual node (a node rejects iff
+3. AND across the ``m`` repetitions per virtual node (a node rejects iff
    **all** its repetitions saw a collision), then across virtual nodes
-   (the network rejects iff **any** node rejects — Theorem 1.1).
+   (the network rejects iff **any** node rejects — Theorem 1.1), both
+   reductions from :mod:`repro.zeroround.decision`.
 
 The structural phase itself is taken off the engine too:
 
@@ -70,13 +71,8 @@ from repro.localmodel.gather import GatherResult, assign_catchments
 from repro.localmodel.mis import luby_mis
 from repro.rng import derive, spawn
 from repro.simulator.graph import Topology
-from repro.zeroround.network import (
-    and_rule_accepts,
-    auto_batch,
-    grouped_collision,
-    grouped_collision_flags,
-    seed_drivers,
-)
+from repro.zeroround.decision import AndRule, repetition_rejects
+from repro.zeroround.network import auto_batch, grouped_collision, seed_drivers
 
 #: Sentinel larger than any drawn priority (draws are < 2**63 - 1).
 _NO_PRIORITY = np.int64(2**63 - 1)
@@ -421,7 +417,7 @@ class LocalVerdictKernel:
     def accepts_uniform(self, u: np.ndarray) -> np.ndarray:
         """AND-rule verdicts for a ``(trials, k)`` driver-draw batch."""
         collided = grouped_collision(u, self.members, self.distribution)
-        return and_rule_accepts(collided, self.m)
+        return AndRule().decide_many(repetition_rejects(collided, self.m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,13 +480,7 @@ class LocalTrialRunner:
             params=self.params,
         )
 
-    # -- per-sample / per-seed APIs ------------------------------------
-
-    def accepts(self, samples: np.ndarray) -> np.ndarray:
-        """Verdicts for a ``(trials, k)`` sample batch."""
-        flat = np.asarray(samples).reshape(-1, self.layout.k)
-        collided = grouped_collision_flags(flat, self.members)
-        return and_rule_accepts(collided, self.params.m)
+    # -- per-seed API --------------------------------------------------
 
     def verdicts_for_seeds(
         self, distribution: DiscreteDistribution, seeds
@@ -502,9 +492,11 @@ class LocalTrialRunner:
         ``sample_uniform(k)``), so verdict ``i`` is bit-identical to the
         scalar decision at ``seeds[i]`` over the shared plan.
         """
+        distribution.require_domain(self.tester.n)
         drawn = seed_drivers(distribution, self.layout.k, seeds)
         collided = grouped_collision(drawn, self.members, distribution)
-        return [bool(a) for a in and_rule_accepts(collided, self.params.m)]
+        rejects = repetition_rejects(collided, self.params.m)
+        return [bool(a) for a in AndRule().decide_many(rejects)]
 
     # -- trial-engine APIs ---------------------------------------------
 
@@ -527,6 +519,7 @@ class LocalTrialRunner:
         after cross-checking the layout against a real engine MIS run;
         either divergence raises :class:`SimulationError`.
         """
+        distribution.require_domain(self.tester.n)
         kernel = LocalVerdictKernel(
             distribution=distribution,
             members=self.members,

@@ -21,7 +21,6 @@ benchmark E7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -170,10 +169,7 @@ class LocalUniformityTester:
         rng: SeedLike = None,
     ) -> bool:
         """One fresh-sample decision over a prepared plan (True = accept)."""
-        if distribution.n != self.n:
-            raise ParameterError(
-                f"tester built for n={self.n}, distribution has {distribution.n}"
-            )
+        distribution.require_domain(self.n)
         gen = ensure_rng(rng)
         samples = distribution.sample(len(plan.gather.owner), gen)
         node_tester = plan.params.build_node_tester()

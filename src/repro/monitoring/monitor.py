@@ -14,7 +14,7 @@ with :meth:`UniformityMonitor.run`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from repro.exceptions import ParameterError
 from repro.monitoring.stream import EpochStream
 from repro.rng import SeedLike, derive, ensure_rng, spawn
+from repro.zeroround.decision import threshold_accepts
 from repro.zeroround.threshold_tester import ThresholdNetworkTester
 
 
@@ -146,8 +147,9 @@ class UniformityMonitor:
 
         for epoch in range(epochs):
             distribution = stream.distribution_at(epoch)
-            alarms = self.tester.rejection_count(distribution, epoch_rng(epoch))
-            alarming = alarms >= threshold
+            flags = self.tester.alarms(distribution, epoch_rng(epoch))
+            alarms = int(flags.sum())
+            alarming = not threshold_accepts(flags, threshold)
             if alarming:
                 consecutive_alarms += 1
                 consecutive_quiet = 0

@@ -15,7 +15,7 @@ model the scenarios from the paper's introduction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.distributions.base import DiscreteDistribution
 from repro.exceptions import ParameterError

@@ -19,7 +19,7 @@ device the paper's token-packaging protocol relies on (its round count is
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 

@@ -13,7 +13,7 @@ enforcement in the tests.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 from repro.simulator.message import Message, bits_for_int
 from repro.simulator.node import Context, NodeProgram

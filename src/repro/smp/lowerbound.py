@@ -18,10 +18,7 @@ the pieces tied to the SMP argument.
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
-
-import numpy as np
 
 from repro.core.bounds import f_tau
 from repro.distributions.distances import bernoulli_kl

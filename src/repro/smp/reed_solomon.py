@@ -10,7 +10,6 @@ concatenated construction in :mod:`repro.smp.codes`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

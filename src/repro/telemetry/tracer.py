@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import platform
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Optional, Union

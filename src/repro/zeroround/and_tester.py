@@ -14,21 +14,18 @@ threshold rule is the better deal (benchmark E3 measures the difference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.core.params import AndRuleParameters, and_rule_parameters
 from repro.distributions.base import DiscreteDistribution
-from repro.exceptions import ParameterError
-from repro.rng import SeedLike, ensure_rng
+from repro.rng import SeedLike
 from repro.zeroround.decision import AndRule
 from repro.zeroround.network import (
     AndNetworkErrorKernel,
-    NetworkResult,
     ZeroRoundNetwork,
-    and_rule_verdicts,
     auto_batch,
     repeated_collision_reject_flags,
 )
@@ -71,11 +68,7 @@ class AndRuleNetworkTester:
         Uses the vectorised kernel — decisions are distributed identically
         to :meth:`as_network`'s object model.
         """
-        if distribution.n != self.params.n:
-            raise ParameterError(
-                f"tester calibrated for n={self.params.n}, "
-                f"distribution has n={distribution.n}"
-            )
+        distribution.require_domain(self.params.n)
         rejects = repeated_collision_reject_flags(
             distribution,
             k=self.params.k,
@@ -83,7 +76,7 @@ class AndRuleNetworkTester:
             s=self.params.s_per_repetition,
             rng=rng,
         )
-        return not bool(rejects.any())
+        return AndRule().decide(~rejects)
 
     def test_many(
         self,
@@ -95,22 +88,14 @@ class AndRuleNetworkTester:
         """Accept verdicts of *trials* network executions, trial-batched.
 
         Bit-identical to *trials* sequential :meth:`test` calls on the same
-        generator; the batch size is auto-capped so one sample matrix stays
-        within the kernel memory budget.
+        generator (:meth:`ZeroRoundNetwork.run_many`); the batch size is
+        auto-capped so one sample matrix stays within the kernel budget.
         """
         p = self.params
+        distribution.require_domain(p.n)
         if batch is None:
             batch = auto_batch(p.k * p.m * p.s_per_repetition)
-        gen = ensure_rng(rng)
-        out = np.empty(trials, dtype=bool)
-        pos = 0
-        while pos < trials:
-            m = min(batch, trials - pos)
-            out[pos : pos + m] = and_rule_verdicts(
-                distribution, p.k, p.m, p.s_per_repetition, m, gen
-            )
-            pos += m
-        return out
+        return self.as_network().run_many(distribution, trials, rng, batch=batch)
 
     def estimate_error(
         self,
@@ -130,6 +115,7 @@ class AndRuleNetworkTester:
         from repro.experiments.runner import error_rate
 
         p = self.params
+        distribution.require_domain(p.n)
         kernel = AndNetworkErrorKernel(
             distribution, p.k, p.m, p.s_per_repetition, is_uniform
         )

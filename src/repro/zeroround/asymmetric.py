@@ -30,15 +30,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.amplify import RepeatedAndTester
-from repro.core.collision import (
-    CollisionGapTester,
-    effective_delta,
-    gamma_slack,
-)
+from repro.core.collision import CollisionGapTester, gamma_slack
 from repro.core.gap import CentralizedTester
 from repro.exceptions import InfeasibleParametersError, ParameterError
-from repro.zeroround.decision import AndRule, ThresholdRule
-from repro.zeroround.network import ZeroRoundNetwork
+from repro.zeroround.decision import AndRule, ThresholdRule, threshold_accepts
+from repro.zeroround.network import ZeroRoundNetwork, collision_reject_flags
 
 #: How many multiplicative bumps of the budget C we try before declaring the
 #: integer-rounded constraint system infeasible.
@@ -145,27 +141,31 @@ class AsymmetricThresholdParameters:
             testers.append(CollisionGapTester(n=self.n, s=s) if s >= 2 else None)
         return ZeroRoundNetwork(testers=testers, rule=ThresholdRule(self.threshold))
 
-    def rejection_count(self, distribution, rng=None) -> int:
-        """Alarm count for one epoch, vectorised by sample-count groups.
+    def alarms(self, distribution, rng=None) -> np.ndarray:
+        """Per-node alarm flags for one epoch, vectorised by sample count.
 
         Identical in distribution to :meth:`build_network`'s object model
         (each node draws its own i.i.d. batch), but grouping nodes with the
         same ``s_i`` into one matrix makes 20k-node fleets instant.
         """
-        from collections import Counter
+        distribution.require_domain(self.n)
+        samples = np.asarray(self.samples)
+        flags = np.zeros(samples.size, dtype=bool)
+        for s in np.unique(samples[samples >= 2]):
+            nodes = samples == s
+            flags[nodes] = collision_reject_flags(
+                distribution, int(nodes.sum()), int(s), rng
+            )
+        return flags
 
-        from repro.zeroround.network import collision_reject_flags
-
-        groups = Counter(s for s in self.samples if s >= 2)
-        alarms = 0
-        for s, count in sorted(groups.items()):
-            flags = collision_reject_flags(distribution, count, s, rng)
-            alarms += int(flags.sum())
-        return alarms
+    def rejection_count(self, distribution, rng=None) -> int:
+        """Alarm count for one epoch (see :meth:`alarms`)."""
+        return int(self.alarms(distribution, rng).sum())
 
     def test(self, distribution, rng=None) -> bool:
         """One epoch's network verdict (True = accept), vectorised."""
-        return self.rejection_count(distribution, rng) < self.threshold
+        flags = self.alarms(distribution, rng)
+        return bool(threshold_accepts(flags, self.threshold))
 
     def test_many(self, distribution, trials: int, rng=None, batch: int = 4096):
         """Accept verdicts for *trials* epochs, trial-batched.
@@ -174,6 +174,7 @@ class AsymmetricThresholdParameters:
         whose grouped-by-``s`` kernel keeps heterogeneous fleets with many
         distinct sample counts to a handful of numpy passes per batch.
         """
+        distribution.require_domain(self.n)
         return self.build_network().run_many(distribution, trials, rng, batch=batch)
 
 

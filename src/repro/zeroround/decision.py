@@ -10,6 +10,12 @@ verdict.  The paper studies two:
   nodes reject.  Amenable to Chernoff-style amplification (Section 3.2.2).
 
 A majority rule (threshold at ``k/2``) is included for comparison sweeps.
+
+Every rule lives here, in two forms: the scalar :meth:`~DecisionRule.decide`
+(the parity reference) and :meth:`~DecisionRule.decide_many` over the
+``(trials, nodes)`` rejection flags the collision kernels return, which
+every fast path reduces.  :func:`repetition_rejects` is the Theorem 1.1
+node rule (reject iff all ``m`` repetitions collided).
 """
 
 from __future__ import annotations
@@ -29,6 +35,16 @@ class DecisionRule(ABC):
     def decide(self, accepts: np.ndarray) -> bool:
         """Network verdict from a boolean accept vector (True = accept)."""
 
+    def decide_many(self, rejects: np.ndarray) -> np.ndarray:
+        """Verdicts (True = accept) of a ``(trials, nodes)`` matrix of
+        node rejections; row-identical to ``decide(~row)``, which this
+        default loops over."""
+        return np.fromiter(
+            (self.decide(~row) for row in rejects),
+            dtype=bool,
+            count=rejects.shape[0],
+        )
+
     @staticmethod
     def _validate(accepts: np.ndarray) -> np.ndarray:
         arr = np.asarray(accepts, dtype=bool)
@@ -43,6 +59,9 @@ class AndRule(DecisionRule):
 
     def decide(self, accepts: np.ndarray) -> bool:
         return bool(self._validate(accepts).all())
+
+    def decide_many(self, rejects: np.ndarray) -> np.ndarray:
+        return ~rejects.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -68,6 +87,14 @@ class ThresholdRule(DecisionRule):
         rejections = int((~arr).sum())
         return rejections < self.threshold
 
+    def decide_many(self, rejects: np.ndarray) -> np.ndarray:
+        if self.threshold > rejects.shape[1]:
+            raise ParameterError(
+                f"threshold {self.threshold} exceeds network size "
+                f"{rejects.shape[1]}"
+            )
+        return threshold_accepts(rejects, self.threshold)
+
 
 @dataclass(frozen=True)
 class MajorityRule(DecisionRule):
@@ -76,3 +103,21 @@ class MajorityRule(DecisionRule):
     def decide(self, accepts: np.ndarray) -> bool:
         arr = self._validate(accepts)
         return int(arr.sum()) * 2 > arr.size
+
+    def decide_many(self, rejects: np.ndarray) -> np.ndarray:
+        nodes = rejects.shape[1]
+        return (nodes - rejects.sum(axis=1)) * 2 > nodes
+
+
+def threshold_accepts(rejects: np.ndarray, threshold: int) -> np.ndarray:
+    """Accept where fewer than ``threshold`` of the last axis's nodes
+    reject.  Unchecked (any integer threshold applies as is, as at the
+    engine's CONGEST root); :meth:`ThresholdRule.decide_many` checks."""
+    return rejects.sum(axis=-1) < threshold
+
+
+def repetition_rejects(collided: np.ndarray, m: int) -> np.ndarray:
+    """``(..., nodes)`` node rejections from ``(..., nodes·m)`` repetition
+    collision flags: a node rejects iff **all** its ``m`` adjacent
+    repetitions collided (:class:`~repro.core.amplify.RepeatedAndTester`)."""
+    return collided.reshape(collided.shape[:-1] + (-1, m)).all(axis=-1)

@@ -6,13 +6,17 @@ Three ways to run a 0-round network:
    :class:`~repro.core.gap.CentralizedTester` per node, a
    :class:`~repro.zeroround.decision.DecisionRule`, one trial per call.
 2. :class:`ZeroRoundNetwork.run_many` — the trial-batched path: draws the
-   driver doubles for a whole batch of network executions in one call and
-   vectorises the per-node decisions.  Homogeneous networks collapse to a
-   single collision kernel; heterogeneous (Section 4 asymmetric) networks
-   are grouped by tester signature.  **Bit-identical** to calling
-   :meth:`~ZeroRoundNetwork.run` in a loop with the same generator (a
-   property the tests pin), because both consume the generator stream in
-   node order and numpy streams are prefix-stable under call splitting.
+   driver doubles for a whole batch of network executions in one call,
+   vectorises the per-node decisions and hands the ``(trials, nodes)``
+   rejection matrix to the rule's
+   :meth:`~repro.zeroround.decision.DecisionRule.decide_many`.
+   Homogeneous networks collapse to a single collision kernel;
+   heterogeneous (Section 4 asymmetric) networks are grouped by tester
+   signature.  **Bit-identical** to calling :meth:`~ZeroRoundNetwork.run`
+   in a loop with the same generator (a property the tests pin), because
+   both consume the generator stream in node order and numpy streams are
+   prefix-stable under call splitting.  The testers' ``test_many`` ride
+   it.
 3. Flat kernels — :func:`collision_reject_flags`,
    :func:`repeated_collision_reject_flags`, and the trial-batched
    :func:`threshold_verdicts` / :func:`and_rule_verdicts` — for the
@@ -20,7 +24,8 @@ Three ways to run a 0-round network:
 
 Every fast path, here and in the CONGEST, fault and LOCAL planes, tests
 its sample groups with one kernel on the ``U[0, 1)`` driver doubles behind
-the samples, :func:`grouped_collision`.
+the samples, :func:`grouped_collision`, and reduces the flags with the
+rules of :mod:`repro.zeroround.decision`.
 
 The frozen-dataclass experiment wrappers at the bottom adapt the kernels to
 the ``(rng, count) -> bool[count]`` batched-experiment interface of
@@ -30,17 +35,22 @@ the ``(rng, count) -> bool[count]`` batched-experiment interface of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.amplify import RepeatedAndTester
-from repro.core.collision import CollisionGapTester
+from repro.core.collision import CollisionGapTester, sorted_ties
 from repro.core.gap import CentralizedTester
 from repro.distributions.base import DiscreteDistribution
 from repro.exceptions import ParameterError
 from repro.rng import SeedLike, ensure_rng
-from repro.zeroround.decision import AndRule, DecisionRule, MajorityRule, ThresholdRule
+from repro.zeroround.decision import (
+    AndRule,
+    DecisionRule,
+    ThresholdRule,
+    repetition_rejects,
+)
 
 
 @dataclass(frozen=True)
@@ -154,8 +164,9 @@ class ZeroRoundNetwork:
         numpy.ndarray
             Boolean vector of length *trials*; ``True`` = network accepts.
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
+        from repro.experiments.runner import check_trials
+
+        trials = check_trials(trials)
         if batch < 1:
             raise ParameterError(f"batch must be >= 1, got {batch}")
         gen = ensure_rng(rng)
@@ -166,11 +177,10 @@ class ZeroRoundNetwork:
         while pos < trials:
             m = min(batch, trials - pos)
             u = distribution.sample_uniform(m * total_s, gen).reshape(m, total_s)
-            accepts = np.ones((m, self.k), dtype=bool)
+            rejects = np.zeros((m, self.k), dtype=bool)
             for reps, nodes, members in groups:
                 collide = grouped_collision(u, members, distribution)
-                # AND-of-m: a node rejects iff every repetition collided.
-                accepts[:, nodes] = ~collide.reshape(m, len(nodes), reps).all(axis=2)
+                rejects[:, nodes] = repetition_rejects(collide, reps)
             for i in generic:
                 tester = self.testers[i]
                 lo = offsets[i]
@@ -178,8 +188,8 @@ class ZeroRoundNetwork:
                     u[:, lo : lo + tester.samples_required]
                 )
                 for t in range(m):
-                    accepts[t, i] = tester.decide(samples[t])
-            verdicts[pos : pos + m] = self._rule_verdicts(accepts)
+                    rejects[t, i] = not tester.decide(samples[t])
+            verdicts[pos : pos + m] = self.rule.decide_many(rejects)
             pos += m
         return verdicts
 
@@ -217,26 +227,6 @@ class ZeroRoundNetwork:
         ]
         return groups, generic, offsets
 
-    def _rule_verdicts(self, accepts: np.ndarray) -> np.ndarray:
-        """Vectorised decision rule over a ``(trials, k)`` accept matrix."""
-        rejections = (~accepts).sum(axis=1)
-        if isinstance(self.rule, AndRule):
-            return rejections == 0
-        if isinstance(self.rule, ThresholdRule):
-            if self.rule.threshold > accepts.shape[1]:
-                raise ParameterError(
-                    f"threshold {self.rule.threshold} exceeds network size "
-                    f"{accepts.shape[1]}"
-                )
-            return rejections < self.rule.threshold
-        if isinstance(self.rule, MajorityRule):
-            return accepts.sum(axis=1) * 2 > accepts.shape[1]
-        return np.fromiter(
-            (self.rule.decide(row) for row in accepts),
-            dtype=bool,
-            count=accepts.shape[0],
-        )
-
 
 # ---------------------------------------------------------------------------
 # Vectorised kernels for the homogeneous case
@@ -245,10 +235,7 @@ class ZeroRoundNetwork:
 
 def _last_axis_has_collision(tensor: np.ndarray) -> np.ndarray:
     """Collision flag along the last axis of an n-D sample tensor."""
-    if tensor.shape[-1] < 2:
-        return np.zeros(tensor.shape[:-1], dtype=bool)
-    ordered = np.sort(tensor, axis=-1)
-    return (np.diff(ordered, axis=-1) == 0).any(axis=-1)
+    return sorted_ties(tensor).any(axis=-1)
 
 
 def grouped_collision_flags(samples: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -259,10 +246,10 @@ def grouped_collision_flags(samples: np.ndarray, members: np.ndarray) -> np.ndar
     indices into the last axis; the result has shape ``(..., groups)``
     with ``True`` where a group's gathered values contain a repeat.
 
-    The integer-sample form behind the planes' ``accepts(samples)`` APIs;
-    their own draws go through :func:`grouped_collision`.  ``members`` is
-    e.g. a :class:`~repro.congest.trial_plane.PackagingLayout`'s
-    per-package token-slot lists, not contiguous in sample order.
+    The integer-sample reference for :func:`grouped_collision`, which the
+    planes run on their own draws.  ``members`` is e.g. a
+    :class:`~repro.congest.trial_plane.PackagingLayout`'s per-package
+    token-slot lists, not contiguous in sample order.
     """
     members = _check_members(members)
     samples = np.asarray(samples)
@@ -367,7 +354,7 @@ def repeated_collision_reject_flags(
     """
     if k < 1 or m < 1 or s < 1:
         raise ParameterError(f"need k, m, s >= 1, got {(k, m, s)}")
-    return _row_collisions(distribution, k * m, s, rng).reshape(k, m).all(axis=1)
+    return repetition_rejects(_row_collisions(distribution, k * m, s, rng), m)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +383,7 @@ def threshold_verdicts(
     if not 1 <= threshold <= k:
         raise ParameterError(f"threshold must be in [1, {k}], got {threshold}")
     alarms = _row_collisions(distribution, trials * k, s, rng)
-    alarms = alarms.reshape(trials, k).sum(axis=1)
-    return alarms < threshold
+    return ThresholdRule(threshold).decide_many(alarms.reshape(trials, k))
 
 
 def and_rule_verdicts(
@@ -419,15 +405,8 @@ def and_rule_verdicts(
     if k < 1 or m < 1 or s < 1:
         raise ParameterError(f"need k, m, s >= 1, got {(k, m, s)}")
     per_batch = _row_collisions(distribution, trials * k * m, s, rng)
-    return and_rule_accepts(per_batch.reshape(trials, k * m), m)
-
-
-def and_rule_accepts(collided: np.ndarray, m: int) -> np.ndarray:
-    """Theorem 1.1 network verdicts from ``(trials, nodes·m)`` repetition
-    collision flags: a node rejects iff all its ``m`` repetitions
-    collided, the network iff any node rejects."""
-    rejects = collided.reshape(collided.shape[0], -1, m).all(axis=2)
-    return ~rejects.any(axis=1)
+    rejects = repetition_rejects(per_batch.reshape(trials, k * m), m)
+    return AndRule().decide_many(rejects)
 
 
 #: Element-count cap for one trial-batched draw (8 MiB of driver doubles;

@@ -19,15 +19,13 @@ import numpy as np
 
 from repro.core.params import ThresholdParameters, threshold_parameters
 from repro.distributions.base import DiscreteDistribution
-from repro.exceptions import ParameterError
-from repro.rng import SeedLike, ensure_rng
-from repro.zeroround.decision import ThresholdRule
+from repro.rng import SeedLike
+from repro.zeroround.decision import ThresholdRule, threshold_accepts
 from repro.zeroround.network import (
     ThresholdNetworkErrorKernel,
     ZeroRoundNetwork,
     auto_batch,
     collision_reject_flags,
-    threshold_verdicts,
 )
 
 
@@ -64,19 +62,19 @@ class ThresholdNetworkTester:
             rule=ThresholdRule(self.params.threshold),
         )
 
+    def alarms(self, distribution: DiscreteDistribution, rng: SeedLike = None) -> np.ndarray:
+        """Per-node alarm flags of one network execution (True = reject)."""
+        distribution.require_domain(self.params.n)
+        return collision_reject_flags(distribution, self.params.k, self.params.s, rng)
+
     def rejection_count(self, distribution: DiscreteDistribution, rng: SeedLike = None) -> int:
         """Number of alarms ``R`` in one network execution."""
-        if distribution.n != self.params.n:
-            raise ParameterError(
-                f"tester calibrated for n={self.params.n}, "
-                f"distribution has n={distribution.n}"
-            )
-        flags = collision_reject_flags(distribution, self.params.k, self.params.s, rng)
-        return int(flags.sum())
+        return int(self.alarms(distribution, rng).sum())
 
     def test(self, distribution: DiscreteDistribution, rng: SeedLike = None) -> bool:
         """One network execution; ``True`` = network says uniform."""
-        return self.rejection_count(distribution, rng) < self.params.threshold
+        flags = self.alarms(distribution, rng)
+        return bool(threshold_accepts(flags, self.params.threshold))
 
     def test_many(
         self,
@@ -88,22 +86,13 @@ class ThresholdNetworkTester:
         """Accept verdicts of *trials* network executions, trial-batched.
 
         Bit-identical to *trials* sequential :meth:`test` calls on the same
-        generator; the batch size is auto-capped so one sample matrix stays
-        within the kernel memory budget.
+        generator (:meth:`ZeroRoundNetwork.run_many`); the batch size is
+        auto-capped so one sample matrix stays within the kernel budget.
         """
-        p = self.params
+        distribution.require_domain(self.params.n)
         if batch is None:
-            batch = auto_batch(p.k * p.s)
-        gen = ensure_rng(rng)
-        out = np.empty(trials, dtype=bool)
-        pos = 0
-        while pos < trials:
-            m = min(batch, trials - pos)
-            out[pos : pos + m] = threshold_verdicts(
-                distribution, p.k, p.s, p.threshold, m, gen
-            )
-            pos += m
-        return out
+            batch = auto_batch(self.params.k * self.params.s)
+        return self.as_network().run_many(distribution, trials, rng, batch=batch)
 
     def estimate_error(
         self,
@@ -122,6 +111,7 @@ class ThresholdNetworkTester:
         from repro.experiments.runner import error_rate
 
         p = self.params
+        distribution.require_domain(p.n)
         kernel = ThresholdNetworkErrorKernel(
             distribution, p.k, p.s, p.threshold, is_uniform
         )

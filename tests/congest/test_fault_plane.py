@@ -67,7 +67,8 @@ class TestEngineParity:
     ):
         topo = make_topology(topo_name, K)
         plans = _keyed_plans(4)
-        seeds = [BASE + t for t in range(len(plans))]
+        # The last plan reuses the first seed: score_seeds draws it once.
+        seeds = [BASE + t % 3 for t in range(len(plans))]
         plane = HardenedFaultPlane.build(tester, topo, plans)
         for dist in (dist_u, dist_far):
             score = plane.score_seeds(dist, seeds)
@@ -276,33 +277,8 @@ class TestReplayabilityContract:
         with pytest.raises(ParameterError, match="seed"):
             plane.score_seeds(dist_u, [1, 2, 3])
 
-    def test_sample_batch_shape_rejected(self, tester):
-        topo = make_topology("star", K)
-        plane = HardenedFaultPlane.build(tester, topo, [FaultPlan(seed=1)])
-        with pytest.raises(ParameterError, match="sample batch"):
-            plane.trials.score(np.zeros((2, 4)))
-
 
 class TestDriverDrawScoring:
-    def test_score_uniform_matches_integer_score(self, tester, dist_far):
-        """Scoring the driver doubles equals scoring the samples they map
-        to, on a plan batch with drops and crashes; a seed repeated across
-        plans is drawn once and reused."""
-        topo = make_topology("ring", K)
-        plane = HardenedFaultPlane.build(tester, topo, _keyed_plans(8))
-        seeds = [5, 6, 7, 5, 6, 7, 5, 8]
-        u = np.stack(
-            [dist_far.sample_uniform(plane.trials.total_tokens, s) for s in seeds]
-        )
-        by_doubles = plane.trials.score_uniform(u, dist_far)
-        by_samples = plane.trials.score(dist_far.index_quantiles(u))
-        by_seeds = plane.score_seeds(dist_far, seeds)
-        for score in (by_samples, by_seeds):
-            assert score.verdicts == by_doubles.verdicts
-            np.testing.assert_array_equal(score.agreement, by_doubles.agreement)
-            np.testing.assert_array_equal(score.alarms, by_doubles.alarms)
-        assert by_doubles.alarms.sum() > 0
-
     def test_driver_batch_shape_rejected(self, tester, dist_u):
         topo = make_topology("star", K)
         plane = HardenedFaultPlane.build(tester, topo, [FaultPlan(seed=1)])

@@ -230,7 +230,12 @@ def fx() -> SimpleNamespace:
         EqualityTrialRunner,
         TesterBasedEqualityProtocol,
     )
-    from repro.zeroround import AndRuleNetworkTester, ThresholdNetworkTester
+    from repro.zeroround import (
+        AndRuleNetworkTester,
+        CostVector,
+        ThresholdNetworkTester,
+        asymmetric_threshold_parameters,
+    )
 
     star, ring = Topology.star(60), Topology.ring(512)
     congest = CongestUniformityTester.solve(200, 60, 0.9, 1.0 / 3.0, 64)
@@ -261,6 +266,10 @@ def fx() -> SimpleNamespace:
         local_plane=LocalTrialRunner.build(local, ring, 16),
         threshold=ThresholdNetworkTester.solve(50_000, 20_000, 0.9),
         and_rule=AndRuleNetworkTester.solve(50_000, 1024, 1.0, 0.45),
+        asym=asymmetric_threshold_parameters(
+            50_000, CostVector.of([1.0] * 10_000 + [4.0] * 10_000), 0.9
+        ),
+        uniform=uniform,
         x=x,
         torus=torus,
         torus_plane=EqualityTrialRunner.for_torus(torus, x, x),
@@ -278,6 +287,9 @@ _RUNNER = TrialRunner(base_seed=0)
 
 #: ``(fx, trials, **options) -> result`` for every public Monte-Carlo
 #: entry point; ``options`` (``engine_check``, ``fast_path``) reach the call.
+#: Entries that test a distribution draw it as ``fx.uniform(n)``, so a
+#: fixture whose ``uniform`` is off by one feeds every such route a
+#: distribution of the wrong domain size.
 _ENTRY_POINTS = {
     "TrialRunner.run_flags": lambda fx, t: _RUNNER.run_flags(
         _scalar_coin, t, "x"
@@ -303,29 +315,47 @@ _ENTRY_POINTS = {
         estimate_rejection_probability(_DIST, 9, t, rng=0)
     ),
     "ThresholdNetworkTester.estimate_error": lambda fx, t: (
-        fx.threshold.estimate_error(uniform(50_000), True, t, rng=0)
+        fx.threshold.estimate_error(fx.uniform(50_000), True, t, rng=0)
+    ),
+    "ThresholdNetworkTester.test_many": lambda fx, t: (
+        fx.threshold.test_many(fx.uniform(50_000), t, rng=0)
+    ),
+    "ThresholdNetworkTester.test": lambda fx, t: (
+        fx.threshold.test(fx.uniform(50_000), rng=0)
     ),
     "AndRuleNetworkTester.estimate_error": lambda fx, t: (
-        fx.and_rule.estimate_error(uniform(50_000), True, t, rng=0)
+        fx.and_rule.estimate_error(fx.uniform(50_000), True, t, rng=0)
+    ),
+    "AndRuleNetworkTester.test_many": lambda fx, t: (
+        fx.and_rule.test_many(fx.uniform(50_000), t, rng=0)
+    ),
+    "AndRuleNetworkTester.test": lambda fx, t: (
+        fx.and_rule.test(fx.uniform(50_000), rng=0)
+    ),
+    "AsymmetricThresholdParameters.test_many": lambda fx, t: (
+        fx.asym.test_many(fx.uniform(50_000), t, rng=0)
+    ),
+    "AsymmetricThresholdParameters.test": lambda fx, t: (
+        fx.asym.test(fx.uniform(50_000), rng=0)
     ),
     "CongestUniformityTester.estimate_error": lambda fx, t, fast_path=True, **kw: (
         fx.congest.estimate_error(
-            fx.star, uniform(200), True, t, rng=0, fast_path=fast_path, **kw
+            fx.star, fx.uniform(200), True, t, rng=0, fast_path=fast_path, **kw
         )
     ),
     "CongestTrialRunner.run_flags": lambda fx, t, **kw: (
-        fx.congest_plane.run_flags(uniform(200), True, t, **kw)
+        fx.congest_plane.run_flags(fx.uniform(200), True, t, **kw)
     ),
     "HardenedCongestTester.estimate_error": lambda fx, t, **kw: (
-        fx.hardened.estimate_error(fx.star, uniform(200), True, t, rng=0, **kw)
+        fx.hardened.estimate_error(fx.star, fx.uniform(200), True, t, rng=0, **kw)
     ),
     "LocalUniformityTester.estimate_error": lambda fx, t, **kw: (
         fx.local.estimate_error(
-            fx.ring, uniform(2_000), True, 16, t, rng=0, **kw
+            fx.ring, fx.uniform(2_000), True, 16, t, rng=0, **kw
         )
     ),
     "LocalTrialRunner.run_flags": lambda fx, t, **kw: (
-        fx.local_plane.run_flags(uniform(2_000), True, t, **kw)
+        fx.local_plane.run_flags(fx.uniform(2_000), True, t, **kw)
     ),
     "EqualityProtocol.estimate_error": lambda fx, t, **kw: (
         fx.torus.estimate_error(fx.x, fx.x, t, rng=0, **kw)
@@ -342,8 +372,16 @@ _ENTRY_POINTS = {
 }
 
 
+#: Entries that run one trial per call, so take no trial count.
+_ONE_TRIAL = {
+    "ThresholdNetworkTester.test",
+    "AndRuleNetworkTester.test",
+    "AsymmetricThresholdParameters.test",
+}
+
+
 @pytest.mark.parametrize("bad", [10.5, True, 0, np.float64(3.0)])
-@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("entry", sorted(set(_ENTRY_POINTS) - _ONE_TRIAL))
 def test_trial_count_validated_at_every_entry_point(fx, entry, bad):
     """A non-integer, boolean or non-positive count is a ParameterError
     at every public entry point — never a TypeError or a silent run."""
@@ -381,6 +419,43 @@ def test_engine_check_validated_at_every_entry_point(fx, entry, route, bad):
     route, including the scalar ones that run no audit."""
     with pytest.raises(ParameterError, match="engine_check"):
         _ENTRY_POINTS[entry](fx, 4, engine_check=bad, **route)
+
+
+#: Every route of every entry point that tests a distribution against the
+#: domain size its tester was calibrated for: both ``fast_path`` settings
+#: where the entry has them.
+_DOMAIN_ROUTES = [
+    pytest.param(entry, {}, id=entry)
+    for entry in (
+        "ThresholdNetworkTester.estimate_error",
+        "ThresholdNetworkTester.test_many",
+        "ThresholdNetworkTester.test",
+        "AndRuleNetworkTester.estimate_error",
+        "AndRuleNetworkTester.test_many",
+        "AndRuleNetworkTester.test",
+        "AsymmetricThresholdParameters.test_many",
+        "AsymmetricThresholdParameters.test",
+        "CongestTrialRunner.run_flags",
+        "LocalTrialRunner.run_flags",
+    )
+] + [
+    pytest.param(entry, {"fast_path": fast}, id=f"{entry}(fast_path={fast})")
+    for entry in (
+        "CongestUniformityTester.estimate_error",
+        "HardenedCongestTester.estimate_error",
+        "LocalUniformityTester.estimate_error",
+    )
+    for fast in (True, False)
+]
+
+
+@pytest.mark.parametrize("entry,route", _DOMAIN_ROUTES)
+def test_domain_validated_at_every_entry_point(fx, entry, route):
+    """A distribution whose domain size differs from the tester's ``n``
+    is a ParameterError on every route — never a silent error rate."""
+    off_by_one = SimpleNamespace(**{**vars(fx), "uniform": lambda n: uniform(n - 1)})
+    with pytest.raises(ParameterError, match="calibrated for n="):
+        _ENTRY_POINTS[entry](off_by_one, 4, **route)
 
 
 def _in_sequence(experiment, trials, gen, batch=None) -> float:

@@ -161,20 +161,45 @@ class _SumTester:
         return int(np.sum(samples)) % 2 == 0
 
 
+def _adversarial_rows(s: int) -> np.ndarray:
+    """Rows that stress the sort-and-tie step: all equal, one run of
+    three or more, several runs in one row, runs at both ends, and no
+    tie at all."""
+    rows = [np.full(s, 7), np.arange(s)]
+    if s >= 3:
+        rows.append(np.r_[np.full(3, 5), np.arange(10, 10 + s - 3)])
+        rows.append(np.r_[np.arange(20, 20 + s - 3), np.full(3, 1)][::-1])
+    if s >= 6:
+        runs = np.r_[np.full(3, 2), np.full(2, 9), np.arange(30, 30 + s - 5)]
+        rows.append(runs)
+        rows.append(np.r_[np.full(s - 2, 4), np.full(2, 3)])
+    if s >= 8:
+        rows.append(np.repeat(np.arange(s // 2), 2)[:s])
+    return np.stack(rows)
+
+
 class TestDecideMany:
     @pytest.mark.parametrize(
         "tester",
         [
             CollisionGapTester.from_delta(64, 0.25),
             CollisionCountTester(n=64, s=12, eps=0.5),
+            CollisionGapTester(n=64, s=2),
+            CollisionCountTester(n=64, s=2, eps=0.5),
+            CollisionCountTester(n=4, s=8, eps=1.5),
         ],
-        ids=["gap", "count"],
+        ids=["gap", "count", "gap-s2", "count-s2", "count-small-n"],
     )
     def test_matches_scalar_decide(self, tester):
         rng = np.random.default_rng(0)
-        samples = rng.integers(0, 64, size=(50, tester.samples_required))
+        s = tester.samples_required
+        samples = np.concatenate(
+            [rng.integers(0, 64, size=(50, s)), rng.integers(0, 3, size=(50, s)),
+             _adversarial_rows(s)]
+        )
         want = [bool(tester.decide(row)) for row in samples]
         assert decide_many(tester, samples).tolist() == want
+        assert any(want) and not all(want)
 
     def test_generic_fallback(self):
         tester = _SumTester()

@@ -1,8 +1,10 @@
 """Documentation guards: the code blocks in the docs must actually run.
 
 Docs rot silently; these tests execute the README quickstart and the
-protocol-authoring guide's worked example verbatim, and check metadata
-consistency (version strings, experiment index coverage).
+protocol-authoring guide's worked example verbatim, check metadata
+consistency (version strings, experiment index coverage), and check that
+every speedup the README and EXPERIMENTS.md quote is the committed
+``BENCH_*.json`` field it claims to be (no timing runs here).
 """
 
 from __future__ import annotations
@@ -70,3 +72,69 @@ class TestMetadata:
                 assert f"repro.{pkg.name}" in paper_map, (
                     f"docs/paper_map.md does not mention repro.{pkg.name}"
                 )
+
+
+def _collect_experiments():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "collect_experiments", ROOT / "tools" / "collect_experiments.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestQuotedSpeedups:
+    """The quoted numbers are rendered from the committed payloads by
+    ``tools/collect_experiments.py``; these tests re-render and compare."""
+
+    def test_readme_table_matches_payloads(self):
+        collect = _collect_experiments()
+        readme = (ROOT / "README.md").read_text()
+        assert collect.speedup_table() in readme
+        assert collect.readme_with_table(readme) == readme
+        for quote in collect.README_QUOTES:
+            assert quote in readme
+
+    def test_experiments_md_matches_payloads(self):
+        text, missing = _collect_experiments().render()
+        assert not missing
+        assert (ROOT / "EXPERIMENTS.md").read_text() == text
+
+    def test_headline_figures(self):
+        """The renderer reads the fields it claims: every number of the
+        E6 and fault-plane rows equals its payload field to the shown
+        precision."""
+        import json
+
+        protocol = json.loads((ROOT / "BENCH_protocol.json").read_text())
+        fault = json.loads((ROOT / "BENCH_robustness.json").read_text())
+        e6 = protocol["e6_tester"]
+        plane = protocol["e6_trial_plane"]
+        fault = fault["fault_plane"]
+
+        def per_trial(entry, key):
+            return 1000 * entry[key] / entry["trials"]
+
+        expected = {
+            "legacy engine": [per_trial(e6, "legacy_seconds"), 1.0],
+            "slim engine, cold": [per_trial(e6, "cold_seconds"), e6["speedup_cold"]],
+            "slim engine, warm": [per_trial(e6, "warm_seconds"), e6["speedup_warm"]],
+            "**trial plane**": [
+                per_trial(plane, "fast_seconds"),
+                per_trial(plane, "warm_engine_seconds"),
+                plane["speedup_vs_warm"],
+            ],
+            "**fault plane**": [
+                fault["fast_ms_per_trial"],
+                fault["engine_ms_per_trial"],
+                fault["speedup"],
+            ],
+        }
+        rows = _collect_experiments().speedup_table().splitlines()
+        for label, values in expected.items():
+            (row,) = [r for r in rows if r.startswith(f"| {label}")]
+            cells = row.split("|")[2:]
+            shown = [float(x) for x in re.findall(r"\d+(?:\.\d+)?", "".join(cells))]
+            assert shown == pytest.approx(values, rel=5e-3), row

@@ -5,16 +5,96 @@ then:  ``python tools/collect_experiments.py``
 
 Each section pairs the paper's claim with the measured table and the
 reproduction verdict encoded in the benchmark's assertions (a table is
-only written after its assertions passed).
+only written after its assertions passed).  Every speedup the sections
+quote, and the README's speedup table, is rendered from a field of the
+committed ``BENCH_*.json`` payloads; ``tests/test_docs.py`` checks that
+both documents match.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "benchmarks" / "results"
+
+
+def _payload(name: str) -> dict:
+    return json.loads((ROOT / f"BENCH_{name}.json").read_text())
+
+
+def _ms(ms: float) -> str:
+    """Milliseconds to three significant figures (one decimal from 10)."""
+    if ms >= 10:
+        return f"{ms:.1f}"
+    return f"{ms:.{2 - math.floor(math.log10(ms))}f}"
+
+
+def _x(ratio: float) -> str:
+    """A speedup ratio: whole numbers from 100, else three figures."""
+    return f"{ratio:.0f}×" if ratio >= 100 else f"{ratio:.3g}×"
+
+
+def _per_trial(entry: dict, key: str) -> str:
+    """``entry[key]`` seconds per trial (and per sweep, if any), in ms."""
+    trials = entry["trials"] * entry.get("sweeps", 1)
+    return _ms(1000.0 * entry[key] / trials)
+
+
+_PROTOCOL, _SMP = _payload("protocol"), _payload("smp")
+E6, PLANE = _PROTOCOL["e6_tester"], _PROTOCOL["e6_trial_plane"]
+LOCAL = _PROTOCOL["e7_local_plane"]
+FAULT = _payload("robustness")["fault_plane"]
+TORUS, BCG = _SMP["e17_torus"], _SMP["e17_bcg"]
+BATCHED = _payload("trials")["speedup_batched"]
+
+
+def speedup_table() -> str:
+    """The README's speedup table, every number a payload field."""
+    rows = [
+        ("legacy engine (pre-fast-path loop), cold",
+         _per_trial(E6, "legacy_seconds"), "1.0×"),
+        ("slim engine, cold", _per_trial(E6, "cold_seconds"),
+         _x(E6["speedup_cold"])),
+        ("slim engine, warm-started", _per_trial(E6, "warm_seconds"),
+         _x(E6["speedup_warm"])),
+        ("**trial plane** (layout replay, batched kernels)",
+         f"**{_per_trial(PLANE, 'fast_seconds')}** vs "
+         f"{_per_trial(PLANE, 'warm_engine_seconds')} warm engine",
+         f"**{_x(PLANE['speedup_vs_warm'])}** vs warm"),
+        ("**fault plane** (E14 faulty grid, per-trial-keyed plans)",
+         f"**{_ms(FAULT['fast_ms_per_trial'])}** vs "
+         f"{_ms(FAULT['engine_ms_per_trial'])} engine",
+         f"**{_x(FAULT['speedup'])}**"),
+        ("**local plane** (E7 LOCAL workload, ring(4096), r=64)",
+         f"**{_per_trial(LOCAL, 'fast_seconds')}** vs "
+         f"{_per_trial(LOCAL, 'scalar_seconds')} scalar",
+         f"**{_x(LOCAL['speedup_vs_scalar'])}**"),
+        ("**smp plane** (E17 SMP workload, torus)",
+         f"**{_per_trial(TORUS, 'fast_seconds')}** vs "
+         f"{_per_trial(TORUS, 'scalar_seconds')} scalar",
+         f"**{_x(TORUS['speedup_vs_scalar'])}**"),
+        ("**smp plane** (E17 SMP workload, BCG reduction)",
+         f"**{_per_trial(BCG, 'fast_seconds')}** vs "
+         f"{_per_trial(BCG, 'scalar_seconds')} scalar",
+         f"**{_x(BCG['speedup_vs_scalar'])}**"),
+    ]
+    lines = [
+        f"| E6 error-rate trial (n={E6['n']}, k={E6['k']}, {E6['topology']})"
+        " | ms/trial | speedup |",
+        "|---|---|---|",
+    ]
+    lines += [f"| {name} | {ms} | {speedup} |" for name, ms, speedup in rows]
+    return "\n".join(lines) + "\n"
+
+
+#: Sentences of README.md outside the table that quote a payload field.
+README_QUOTES = (
+    f"batched path runs {_x(BATCHED)} faster than the serial loop",
+)
 
 #: Experiment sections: (id, paper claim, result files, expected shape).
 SECTIONS = [
@@ -189,8 +269,10 @@ SECTIONS = [
         "verdict, agreement, shortfall, missing-subtree and unheard "
         "counters bit for bit (any divergence raises `SimulationError`) "
         "and supplies the rounds/drops columns only it can measure.  On "
-        "this grid the replay costs ≈3.1 ms per trial against ≈170 ms per "
-        "engine trial — **≈55× per faulty trial** (`BENCH_robustness.json` "
+        f"this grid the replay costs {_ms(FAULT['fast_ms_per_trial'])} ms "
+        f"per trial against {_ms(FAULT['engine_ms_per_trial'])} ms per "
+        f"engine trial — **{_x(FAULT['speedup'])} per faulty trial** "
+        "(`BENCH_robustness.json` "
         "`fault_plane.speedup`, `bit_identical: true`), which is what made "
         "25 trials/point affordable.",
         ["e14_robustness"],
@@ -234,9 +316,12 @@ SECTIONS = [
         "regressions in CI.",
         ["e15_trial_plane"],
         "On the E6 error-rate workload (n=500, k=3000, τ=6, star) the "
-        "trial plane runs the same trials ~150× faster than the "
-        "warm-started engine (≈0.3 ms vs ≈45 ms per trial) after a "
-        "~30 ms one-time layout extraction, with "
+        f"trial plane runs the same trials {_x(PLANE['speedup_vs_warm'])} "
+        "faster than the warm-started engine "
+        f"({_per_trial(PLANE, 'fast_seconds')} ms vs "
+        f"{_per_trial(PLANE, 'warm_engine_seconds')} ms per trial) after a "
+        f"{_ms(1000 * PLANE['layout_seconds'])} ms one-time layout "
+        "extraction, with "
         "`bit_identical.fast_vs_engine = true` asserted by the benchmark "
         "gate.  The E6 sweep rides this path with an engine-check "
         "fraction; the E14 robustness sweep, whose plans are keyed per "
@@ -275,9 +360,12 @@ SECTIONS = [
         "per-radius layout cache with the subsequent sweep.",
         ["e16_local_plane"],
         "On the E7 error-rate workload (n=20000, ring(4096), r=64) the "
-        "local plane runs the same 512-trial sweeps ~52× faster than the "
-        "scalar tester (≈0.019 ms vs ≈0.96 ms per trial) after a ~0.7 s "
-        "one-time layout extraction, with both "
+        f"local plane runs the same {LOCAL['trials']}-trial sweeps "
+        f"{_x(LOCAL['speedup_vs_scalar'])} faster than the scalar tester "
+        f"({_per_trial(LOCAL, 'fast_seconds')} ms vs "
+        f"{_per_trial(LOCAL, 'scalar_seconds')} ms per trial) after a "
+        f"{_ms(1000 * LOCAL['layout_seconds'])} ms one-time layout "
+        "extraction, with both "
         "`bit_identical.fast_vs_scalar` and `bit_identical.layout_vs_engine` "
         "asserted true by the benchmark gate (`BENCH_protocol.json`, "
         "`e7_local_plane`; regression-gated by `tools/bench_compare.py "
@@ -314,10 +402,14 @@ SECTIONS = [
         ["e17_smp_plane"],
         "On the default `repro smp` workload (256-bit inputs, δ=0.05, "
         "τ=2.0 → a 1024-bit codeword, torus side 32, BCG domain 2048, "
-        "q=14) the plane runs the same 2048-trial sweeps ~8900× faster "
-        "than the scalar torus protocol (≈0.0001 ms vs ≈0.74 ms per "
-        "trial) and ~1000× faster than the scalar BCG reduction "
-        "(≈0.001 ms vs ≈0.80 ms per trial), with `bit_identical: true` "
+        f"q=14) the plane runs the same {TORUS['trials']}-trial sweeps "
+        f"{_x(TORUS['speedup_vs_scalar'])} faster than the scalar torus "
+        f"protocol ({_per_trial(TORUS, 'fast_seconds')} ms vs "
+        f"{_per_trial(TORUS, 'scalar_seconds')} ms per trial) and "
+        f"{_x(BCG['speedup_vs_scalar'])} faster than the scalar BCG "
+        f"reduction ({_per_trial(BCG, 'fast_seconds')} ms vs "
+        f"{_per_trial(BCG, 'scalar_seconds')} ms per trial), with "
+        "`bit_identical: true` "
         "on both asserted by the benchmark gate (`BENCH_smp.json`, "
         "`e17_torus`/`e17_bcg`).  The scalar route remains the "
         "measurement of record for communication cost (E8's bit counts "
@@ -367,7 +459,8 @@ script.
 """
 
 
-def main() -> int:
+def render() -> tuple:
+    """``(EXPERIMENTS.md text, missing result tables)``."""
     missing = []
     parts = [HEADER]
     for title, claim, files, verdict in SECTIONS:
@@ -382,9 +475,29 @@ def main() -> int:
             parts.append("\n```text\n" + path.read_text().rstrip() + "\n```\n")
         parts.append(f"**Measured outcome.** {verdict}\n")
     parts.append(FOOTER)
+    return "".join(parts), missing
+
+
+def readme_with_table(readme: str) -> str:
+    """*readme* with its speedup table replaced by :func:`speedup_table`."""
+    lines = readme.splitlines(True)
+    start = next(
+        i for i, ln in enumerate(lines) if ln.startswith("| E6 error-rate trial")
+    )
+    end = start
+    while end < len(lines) and lines[end].startswith("|"):
+        end += 1
+    return "".join(lines[:start]) + speedup_table() + "".join(lines[end:])
+
+
+def main() -> int:
+    text, missing = render()
     out = ROOT / "EXPERIMENTS.md"
-    out.write_text("".join(parts))
+    out.write_text(text)
+    readme = ROOT / "README.md"
+    readme.write_text(readme_with_table(readme.read_text()))
     print(f"wrote {out} ({len(SECTIONS)} sections, {len(missing)} missing tables)")
+    print(f"rewrote the speedup table in {readme}")
     if missing:
         print("missing:", ", ".join(missing))
     return 0
